@@ -11,7 +11,9 @@
 #   4. /minimize honors step budgets (sound partial + resume cursor)
 #   5. 200 concurrent keep-alive connections x 10 pipelined evals each
 #      all get byte-identical answers (vs one-shot `provmin eval`), and
-#      /stats shows the connection reuse actually happened
+#      /stats shows the connection reuse actually happened, that the
+#      query was still evaluated only once, and that every body was
+#      rendered once per (query, generation, format)
 #   6. SIGINT drains and exits 0
 #   7. a durable server (--data-dir) persists across SIGTERM: graceful
 #      exit 0, a snapshot on disk, acked mutations served after restart
@@ -145,6 +147,20 @@ echo "   connections: accepted=$ACCEPTED keepalive_reuses=$REUSES"
 [ "$ACCEPTED" -ge 200 ] || fail "expected >=200 accepted connections, saw $ACCEPTED"
 # 200 connections x 10 requests = at least 9 reuses each.
 [ "$REUSES" -ge 1800 ] || fail "expected >=1800 keep-alive reuses, saw $REUSES"
+# One render per (query, generation, format): JSON and text before the
+# stage-3 mutation, JSON (stage 3) and text (this soak) after it. Every
+# other /eval so far was served from the cached bytes.
+grep -o '"render":{[^}]*}' "$WORKDIR/stats2.json" > "$WORKDIR/render.json" \
+    || fail "/stats has no render object"
+RENDER_HITS=$(json_u64 hits "$WORKDIR/render.json")
+RENDER_MISSES=$(json_u64 misses "$WORKDIR/render.json")
+echo "   render: hits=$RENDER_HITS misses=$RENDER_MISSES"
+[ "$RENDER_MISSES" -eq 4 ] || fail "expected 4 renders (2 generations x 2 formats), saw $RENDER_MISSES"
+[ "$RENDER_HITS" -ge 2002 ] || fail "expected >=2002 render hits, saw $RENDER_HITS"
+# 2000 concurrent evals at one generation share one materialized result:
+# still the single full evaluation of stage 1.
+SOAK_REBUILDS=$(json_u64 full_rebuilds "$WORKDIR/stats2.json")
+[ "$SOAK_REBUILDS" -eq 1 ] || fail "expected 1 full evaluation after the soak, saw $SOAK_REBUILDS"
 
 echo "== 6. SIGINT shuts down cleanly"
 kill -INT "$SERVER_PID"

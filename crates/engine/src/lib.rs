@@ -25,4 +25,7 @@ pub use eval::{
 };
 pub use index::{DatabaseIndex, RelationIndex};
 pub use planner::PlannerKind;
-pub use session::{EvalSession, MutationCachePath, MutationOutcome, SessionStats};
+pub use session::{
+    EvalSession, Materialized, MutationCachePath, MutationOutcome, RenderFormat, Rendered,
+    SessionStats,
+};

@@ -31,10 +31,15 @@
 //! diverged clone), the session transparently re-evaluates from scratch.
 //! Results are therefore always bit-identical to a fresh evaluation —
 //! the `mutate` fuzz spec and the soak/proptest suites enforce this.
+//!
+//! Readers that miss the same query at the same generation share one
+//! full evaluation (a per-key in-flight slot), and each stored result
+//! carries a [`Rendered`] slot for bytes a caller rendered from it; the
+//! slot is replaced whenever the result's generation moves.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use prov_query::{ConjunctiveQuery, UnionQuery};
 use prov_semiring::Annotation;
@@ -113,16 +118,85 @@ pub struct MutationOutcome {
     pub cache: MutationCachePath,
 }
 
+/// The output formats a caller may cache rendered bytes for, one
+/// [`Rendered`] slot each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RenderFormat {
+    /// A JSON rendering.
+    Json,
+    /// A plain-text rendering.
+    Text,
+}
+
+/// Bytes rendered from one materialized result at one generation, one
+/// slot per [`RenderFormat`].
+///
+/// The session does not render anything itself: it only keeps what a
+/// caller rendered next to the result it was rendered from. A delta
+/// apply, a rebuild or [`EvalSession::invalidate_results`] gives the
+/// entry a fresh, empty `Rendered`, and LRU eviction drops it together
+/// with the entry, so bytes from an older generation can never be served
+/// for a newer one.
+#[derive(Debug, Default)]
+pub struct Rendered {
+    slots: [OnceLock<Arc<[u8]>>; 2],
+}
+
+impl Rendered {
+    /// The bytes cached for `format`, rendering them with `render` first
+    /// if the slot is empty. Concurrent callers render at most once; the
+    /// flag says whether this call rendered (a miss) or found them (a hit).
+    pub fn get_or_render(
+        &self,
+        format: RenderFormat,
+        render: impl FnOnce() -> Vec<u8>,
+    ) -> (Arc<[u8]>, bool) {
+        let mut rendered = false;
+        let bytes = self.slots[format as usize].get_or_init(|| {
+            rendered = true;
+            render().into()
+        });
+        (Arc::clone(bytes), rendered)
+    }
+}
+
+/// A materialized result together with the render slot of its
+/// generation (see [`EvalSession::eval_ucq_materialized`]).
+#[derive(Clone, Debug)]
+pub struct Materialized {
+    /// The query's answer.
+    pub result: Arc<AnnotatedResult>,
+    /// Bytes rendered from exactly this answer.
+    pub rendered: Arc<Rendered>,
+}
+
+impl Materialized {
+    fn new(result: AnnotatedResult) -> Materialized {
+        Materialized {
+            result: Arc::new(result),
+            rendered: Arc::default(),
+        }
+    }
+}
+
 /// One materialized result: the query's answer as of `generation`.
 struct CachedResult {
     generation: u64,
     last_used: u64,
-    result: Arc<AnnotatedResult>,
+    materialized: Materialized,
+}
+
+/// A full evaluation of one key at one generation, shared by every
+/// reader that misses the same key at the same generation while it runs.
+struct Flight {
+    generation: u64,
+    done: Arc<OnceLock<Materialized>>,
 }
 
 #[derive(Default)]
 struct ResultStore {
     entries: HashMap<String, CachedResult>,
+    in_flight: HashMap<String, Flight>,
     tick: u64,
 }
 
@@ -226,6 +300,7 @@ impl EvalSession {
         options: EvalOptions,
     ) -> Arc<AnnotatedResult> {
         self.eval_keyed(format!("cq\u{1f}{q}"), std::slice::from_ref(q), db, options)
+            .result
     }
 
     /// Evaluates a union of conjunctive queries under the session defaults.
@@ -240,6 +315,18 @@ impl EvalSession {
         db: &Database,
         options: EvalOptions,
     ) -> Arc<AnnotatedResult> {
+        self.eval_ucq_materialized(q, db, options).result
+    }
+
+    /// [`EvalSession::eval_ucq_with`], plus the render slot of the
+    /// returned result's generation, so a caller can serve bytes it
+    /// rendered from the same answer before.
+    pub fn eval_ucq_materialized(
+        &self,
+        q: &UnionQuery,
+        db: &Database,
+        options: EvalOptions,
+    ) -> Materialized {
         self.eval_keyed(format!("ucq\u{1f}{q}"), q.adjuncts(), db, options)
     }
 
@@ -291,42 +378,78 @@ impl EvalSession {
     }
 
     /// The common cached-evaluation path over a list of adjuncts.
+    ///
+    /// A hit at the current generation and a delta apply both run under
+    /// the store lock, so each generation move is reconciled once. A full
+    /// evaluation runs outside it, so callers of *other* queries are not
+    /// serialized behind it; callers that miss the same key at the same
+    /// generation meanwhile wait for that one evaluation and share it.
     fn eval_keyed(
         &self,
         key: String,
         adjuncts: &[ConjunctiveQuery],
         db: &Database,
         options: EvalOptions,
-    ) -> Arc<AnnotatedResult> {
-        {
+    ) -> Materialized {
+        let generation = db.generation();
+        let flight = {
             let mut store = self.results.lock().expect("result store poisoned");
             let tick = store.touch();
             if let Some(entry) = store.entries.get_mut(&key) {
                 entry.last_used = tick;
-                if entry.generation == db.generation() {
-                    return Arc::clone(&entry.result);
+                if entry.generation == generation {
+                    return entry.materialized.clone();
                 }
                 if let Some(events) = db.deltas_since(entry.generation) {
-                    let result = Arc::make_mut(&mut entry.result);
+                    let result = Arc::make_mut(&mut entry.materialized.result);
                     let dropped = apply_deltas(result, adjuncts, db, options, &self.views, events);
-                    entry.generation = db.generation();
+                    entry.generation = generation;
+                    entry.materialized.rendered = Arc::default();
                     self.delta_applies.fetch_add(1, Ordering::Relaxed);
                     self.monomials_dropped.fetch_add(dropped, Ordering::Relaxed);
-                    return Arc::clone(&entry.result);
+                    return entry.materialized.clone();
                 }
                 // Delta log no longer reaches the entry's generation:
                 // fall through to a full rebuild below.
             }
+            match store.in_flight.get(&key) {
+                Some(flight) if flight.generation == generation => Arc::clone(&flight.done),
+                _ => {
+                    let done = Arc::new(OnceLock::new());
+                    let flight = Flight {
+                        generation,
+                        done: Arc::clone(&done),
+                    };
+                    store.in_flight.insert(key.clone(), flight);
+                    done
+                }
+            }
+        };
+        // Exactly one caller's closure runs (another's only if it
+        // panicked); everyone else blocks here until it is done.
+        let mut evaluated = false;
+        let materialized = flight
+            .get_or_init(|| {
+                evaluated = true;
+                let mut fresh = AnnotatedResult::default();
+                for adj in adjuncts {
+                    fresh.merge(eval_cq_via_cache(adj, db, options, &self.views));
+                }
+                self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
+                Materialized::new(fresh)
+            })
+            .clone();
+        if !evaluated {
+            return materialized;
         }
-        // Full evaluation outside the store lock, so concurrent sessions
-        // callers of *other* queries are not serialized behind it.
-        let mut fresh = AnnotatedResult::default();
-        for adj in adjuncts {
-            fresh.merge(eval_cq_via_cache(adj, db, options, &self.views));
-        }
-        self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
-        let result = Arc::new(fresh);
         let mut store = self.results.lock().expect("result store poisoned");
+        if store
+            .in_flight
+            .get(&key)
+            .is_some_and(|f| Arc::ptr_eq(&f.done, &flight))
+        {
+            store.in_flight.remove(&key);
+        }
         let tick = store.touch();
         if store.entries.len() >= RESULT_CACHE_CAPACITY && !store.entries.contains_key(&key) {
             if let Some(evict) = store
@@ -341,12 +464,12 @@ impl EvalSession {
         store.entries.insert(
             key,
             CachedResult {
-                generation: db.generation(),
+                generation,
                 last_used: tick,
-                result: Arc::clone(&result),
+                materialized: materialized.clone(),
             },
         );
-        result
+        materialized
     }
 }
 
@@ -651,6 +774,84 @@ mod tests {
         let r2 = session.eval_ucq(&q, &db);
         assert!(Arc::ptr_eq(&r1, &r2), "generation hit must share");
         assert_eq!(session.stats().full_rebuilds, 1);
+    }
+
+    #[test]
+    fn concurrent_cold_misses_share_one_evaluation() {
+        // Large enough that the evaluation outlasts the threads' start-up
+        // skew, so the misses really overlap.
+        let mut db = Database::new();
+        for i in 0..400u32 {
+            db.add(
+                "R",
+                &[
+                    &format!("n{}", i % 40),
+                    &format!("n{}", (i * 7 + i / 40) % 40),
+                ],
+                &format!("cm_{i}"),
+            );
+        }
+        let session = EvalSession::new();
+        let q = parse_ucq("ans(x) :- R(x,y), R(y,z), R(z,x)").unwrap();
+        let barrier = std::sync::Barrier::new(8);
+        let results: Vec<Arc<AnnotatedResult>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        session.eval_ucq(&q, &db)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(session.stats().full_rebuilds, 1, "one miss evaluates");
+        assert!(results.iter().all(|r| Arc::ptr_eq(r, &results[0])));
+    }
+
+    #[test]
+    fn render_slot_follows_the_generation() {
+        let mut db = table_2_database();
+        let session = EvalSession::new();
+        let q = parse_ucq("ans(x) :- R(x,x)").unwrap();
+        let options = session.options();
+        let first = session.eval_ucq_materialized(&q, &db, options);
+        let (bytes, rendered) = first
+            .rendered
+            .get_or_render(RenderFormat::Text, || b"v1".to_vec());
+        assert!(rendered);
+        assert_eq!(&*bytes, b"v1");
+        let hit = session.eval_ucq_materialized(&q, &db, options);
+        assert!(Arc::ptr_eq(&hit.rendered, &first.rendered));
+        let (_, rendered) = hit
+            .rendered
+            .get_or_render(RenderFormat::Text, || unreachable!());
+        assert!(!rendered, "a hit finds the bytes");
+        assert!(
+            hit.rendered
+                .get_or_render(RenderFormat::Json, || b"j".to_vec())
+                .1
+        );
+
+        db.add("R", &["c", "c"], "rs1");
+        let moved = session.eval_ucq_materialized(&q, &db, options);
+        assert!(
+            !Arc::ptr_eq(&moved.rendered, &first.rendered),
+            "delta apply"
+        );
+        assert!(
+            moved
+                .rendered
+                .get_or_render(RenderFormat::Text, || b"v2".to_vec())
+                .1
+        );
+
+        session.invalidate_results();
+        let rebuilt = session.eval_ucq_materialized(&q, &db, options);
+        assert!(
+            !Arc::ptr_eq(&rebuilt.rendered, &moved.rendered),
+            "invalidation"
+        );
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! bounded parsing is the point of the `Content-Length` subset).
 
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Write};
+use std::sync::Arc;
 
 use crate::json::Json;
 
@@ -219,6 +220,15 @@ pub const STREAM_SEGMENT_BYTES: usize = 64 * 1024;
 pub enum Body {
     /// A fixed-length body (`Content-Length`).
     Bytes(Vec<u8>),
+    /// A fixed-length body spliced from two parts, `prefix ++ shared`,
+    /// so bytes shared with other responses (a cached rendering) go to
+    /// the socket without being copied into a per-response buffer.
+    Shared {
+        /// Bytes built for this response.
+        prefix: Vec<u8>,
+        /// Bytes shared with other responses.
+        shared: Arc<[u8]>,
+    },
     /// A streamed body: each call yields the next segment (roughly
     /// `STREAM_SEGMENT_BYTES` each), `None` when exhausted. Written as
     /// chunked transfer-encoding, so the peer needs no length up front
@@ -230,6 +240,10 @@ impl fmt::Debug for Body {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Body::Bytes(b) => f.debug_tuple("Bytes").field(&b.len()).finish(),
+            Body::Shared { prefix, shared } => f
+                .debug_tuple("Shared")
+                .field(&(prefix.len() + shared.len()))
+                .finish(),
             Body::Chunks(_) => f.write_str("Chunks(..)"),
         }
     }
@@ -265,6 +279,21 @@ impl Response {
         }
     }
 
+    /// A fixed-length response whose body is `prefix ++ shared`; see
+    /// [`Body::Shared`].
+    pub fn shared(
+        status: u16,
+        content_type: &'static str,
+        prefix: Vec<u8>,
+        shared: Arc<[u8]>,
+    ) -> Response {
+        Response {
+            status,
+            content_type,
+            body: Body::Shared { prefix, shared },
+        }
+    }
+
     /// A streamed response (chunked transfer-encoding); see
     /// [`Body::Chunks`].
     pub fn streamed(
@@ -292,6 +321,10 @@ impl Response {
     pub fn into_body_bytes(self) -> Vec<u8> {
         match self.body {
             Body::Bytes(b) => b,
+            Body::Shared { mut prefix, shared } => {
+                prefix.extend_from_slice(&shared);
+                prefix
+            }
             Body::Chunks(mut next) => {
                 let mut out = Vec::new();
                 while let Some(seg) = next() {
@@ -306,48 +339,119 @@ impl Response {
     /// (the caller owns the keep-alive decision). Returns the number of
     /// **body** bytes written (headers and chunk framing excluded), for
     /// the bytes-streamed counter.
+    ///
+    /// A fixed-length response is one vectored write of header and body.
+    /// A streamed one is one vectored write per segment — chunk-size
+    /// line, segment, CRLF — with the header riding on the first and the
+    /// terminating zero-length chunk on the last, which takes one segment
+    /// of look-ahead; nothing else is buffered.
     pub fn write_to(self, writer: &mut impl Write, close: bool) -> io::Result<u64> {
+        let mut head = Vec::with_capacity(128);
+        write!(
+            head,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n",
+            self.status,
+            reason(self.status),
+            self.content_type,
+        )?;
         let connection = if close { "close" } else { "keep-alive" };
         match self.body {
-            Body::Bytes(body) => {
-                write!(
-                    writer,
-                    "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-                    self.status,
-                    reason(self.status),
-                    self.content_type,
-                    body.len(),
-                    connection,
-                )?;
-                writer.write_all(&body)?;
-                writer.flush()?;
-                Ok(body.len() as u64)
+            Body::Bytes(body) => write_fixed(writer, head, connection, [&body, &[]]),
+            Body::Shared { prefix, shared } => {
+                write_fixed(writer, head, connection, [&prefix, &shared])
             }
-            Body::Chunks(mut next) => {
+            Body::Chunks(next) => {
                 write!(
-                    writer,
-                    "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-                    self.status,
-                    reason(self.status),
-                    self.content_type,
-                    connection,
+                    head,
+                    "Transfer-Encoding: chunked\r\nConnection: {connection}\r\n\r\n"
                 )?;
-                let mut body_bytes = 0u64;
-                while let Some(seg) = next() {
-                    if seg.is_empty() {
-                        continue; // an empty chunk would terminate the body
-                    }
-                    write!(writer, "{:x}\r\n", seg.len())?;
-                    writer.write_all(&seg)?;
-                    writer.write_all(b"\r\n")?;
-                    body_bytes += seg.len() as u64;
-                }
-                writer.write_all(b"0\r\n\r\n")?;
-                writer.flush()?;
-                Ok(body_bytes)
+                write_chunked(writer, head, next)
             }
         }
     }
+}
+
+/// Writes a fixed-length body, the concatenation of `parts`, in one
+/// vectored write with the header.
+fn write_fixed(
+    writer: &mut impl Write,
+    mut head: Vec<u8>,
+    connection: &str,
+    parts: [&[u8]; 2],
+) -> io::Result<u64> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    write!(
+        head,
+        "Content-Length: {len}\r\nConnection: {connection}\r\n\r\n"
+    )?;
+    let [prefix, shared] = parts.map(IoSlice::new);
+    write_all_vectored(writer, &mut [IoSlice::new(&head), prefix, shared])?;
+    writer.flush()?;
+    Ok(len as u64)
+}
+
+/// Writes a chunked body, one vectored write per non-empty segment (an
+/// empty chunk would terminate the body). `head` goes out with the first
+/// write and `0\r\n\r\n` with the last.
+fn write_chunked(
+    writer: &mut impl Write,
+    mut head: Vec<u8>,
+    mut next: Box<dyn FnMut() -> Option<Vec<u8>> + Send>,
+) -> io::Result<u64> {
+    const TERMINATOR: &[u8] = b"0\r\n\r\n";
+    let mut next_segment = || loop {
+        match next() {
+            Some(seg) if seg.is_empty() => continue,
+            other => break other,
+        }
+    };
+    let mut body_bytes = 0u64;
+    let mut pending = next_segment();
+    if pending.is_none() {
+        write_all_vectored(writer, &mut [IoSlice::new(&head), IoSlice::new(TERMINATOR)])?;
+    }
+    while let Some(seg) = pending {
+        pending = next_segment();
+        let size_line = format!("{:x}\r\n", seg.len());
+        let end: &[u8] = if pending.is_some() {
+            b"\r\n"
+        } else {
+            b"\r\n0\r\n\r\n"
+        };
+        write_all_vectored(
+            writer,
+            &mut [
+                IoSlice::new(&head),
+                IoSlice::new(size_line.as_bytes()),
+                IoSlice::new(&seg),
+                IoSlice::new(end),
+            ],
+        )?;
+        head.clear();
+        body_bytes += seg.len() as u64;
+    }
+    writer.flush()?;
+    Ok(body_bytes)
+}
+
+/// `write_all` over several buffers: repeated `write_vectored` calls,
+/// advancing past whatever a partial write consumed.
+fn write_all_vectored(writer: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match writer.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole response",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// The reason phrase for the status codes this server emits.
@@ -488,42 +592,141 @@ mod tests {
         ));
     }
 
+    /// A `Write` that counts its write calls and accepts at most
+    /// `max_per_call` bytes per call (partial writes).
+    struct CountingWriter {
+        out: Vec<u8>,
+        writes: usize,
+        max_per_call: usize,
+    }
+
+    impl CountingWriter {
+        fn new(max_per_call: usize) -> CountingWriter {
+            CountingWriter {
+                out: Vec::new(),
+                writes: 0,
+                max_per_call,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let mut budget = self.max_per_call;
+            for buf in bufs {
+                let take = buf.len().min(budget);
+                self.out.extend_from_slice(&buf[..take]);
+                budget -= take;
+            }
+            Ok(self.max_per_call - budget)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Writes `make()` whole and in 7-byte partial writes: both must put
+    /// `expected` on the wire, the whole one in `writes` calls. Returns
+    /// the body byte count `write_to` reported.
+    fn assert_wire(make: impl Fn() -> Response, close: bool, expected: &str, writes: usize) -> u64 {
+        let mut whole = CountingWriter::new(usize::MAX);
+        let body_bytes = make().write_to(&mut whole, close).expect("writes");
+        assert_eq!(String::from_utf8(whole.out).expect("utf8"), expected);
+        assert_eq!(whole.writes, writes, "write calls for {expected:?}");
+        let mut partial = CountingWriter::new(7);
+        make().write_to(&mut partial, close).expect("writes");
+        assert_eq!(String::from_utf8(partial.out).expect("utf8"), expected);
+        body_bytes
+    }
+
     #[test]
     fn response_serializes_with_length_and_connection() {
-        let mut out = Vec::new();
-        let n = Response::text(200, "hi\n".to_owned())
-            .write_to(&mut out, true)
-            .expect("writes");
+        // Each buffered response is one write call, in this framing.
+        let n = assert_wire(
+            || Response::text(200, "hi\n".to_owned()),
+            true,
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 3\r\nConnection: close\r\n\r\nhi\n",
+            1,
+        );
         assert_eq!(n, 3);
-        let text = String::from_utf8(out).expect("utf8");
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 3\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.ends_with("\r\n\r\nhi\n"));
-
-        let mut out = Vec::new();
-        Response::text(200, "hi\n".to_owned())
-            .write_to(&mut out, false)
-            .expect("writes");
-        let text = String::from_utf8(out).expect("utf8");
-        assert!(text.contains("Connection: keep-alive\r\n"));
+        assert_wire(
+            || Response::text(200, "hi\n".to_owned()),
+            false,
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 3\r\nConnection: keep-alive\r\n\r\nhi\n",
+            1,
+        );
+        assert_wire(
+            || Response::error(404, "no route /x"),
+            true,
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+             Content-Length: 23\r\nConnection: close\r\n\r\n{\"error\":\"no route /x\"}",
+            1,
+        );
+        assert_wire(
+            || Response::text(200, String::new()),
+            false,
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 0\r\nConnection: keep-alive\r\n\r\n",
+            1,
+        );
+        // A spliced body (a cached empty /eval result) frames exactly
+        // like the same bytes in one buffer.
+        let rows: Arc<[u8]> = Arc::from(&b"\"results\":[\"(empty result)\"]}"[..]);
+        let n = assert_wire(
+            || {
+                Response::shared(
+                    200,
+                    "application/json",
+                    b"{\"rows\":0,".to_vec(),
+                    Arc::clone(&rows),
+                )
+            },
+            false,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+             Content-Length: 39\r\nConnection: keep-alive\r\n\r\n\
+             {\"rows\":0,\"results\":[\"(empty result)\"]}",
+            1,
+        );
+        assert_eq!(n, 39);
     }
 
     #[test]
     fn chunked_body_frames_segments() {
-        let mut segments = vec![b"world".to_vec(), b"hello ".to_vec()];
-        let resp = Response::streamed(
-            200,
-            "text/plain; charset=utf-8",
-            Box::new(move || segments.pop()),
+        let stream = |segments: &[&'static [u8]]| {
+            let mut segments: Vec<Vec<u8>> = segments.iter().rev().map(|s| s.to_vec()).collect();
+            Response::streamed(
+                200,
+                "text/plain; charset=utf-8",
+                Box::new(move || segments.pop()),
+            )
+        };
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                    Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n";
+        // One write call per non-empty segment (an empty one is skipped),
+        // the header on the first and the terminator on the last.
+        let n = assert_wire(
+            || stream(&[b"hello ", b"", b"world"]),
+            false,
+            &format!("{head}6\r\nhello \r\n5\r\nworld\r\n0\r\n\r\n"),
+            2,
         );
-        let mut out = Vec::new();
-        let n = resp.write_to(&mut out, false).expect("writes");
         assert_eq!(n, 11);
-        let text = String::from_utf8(out).expect("utf8");
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"));
-        assert!(!text.contains("Content-Length"));
-        assert!(text.ends_with("6\r\nhello \r\n5\r\nworld\r\n0\r\n\r\n"));
+        assert_wire(
+            || stream(&[b"one"]),
+            false,
+            &format!("{head}3\r\none\r\n0\r\n\r\n"),
+            1,
+        );
+        // An empty stream is the header plus the terminator.
+        assert_wire(|| stream(&[]), false, &format!("{head}0\r\n\r\n"), 1);
     }
 
     #[test]

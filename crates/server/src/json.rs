@@ -158,20 +158,29 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Writes `s` as a quoted JSON string. Runs of bytes that need no escape
+/// are copied in one `write_str`; every byte that does is ASCII, so the
+/// run boundaries always fall on UTF-8 character boundaries.
+pub(crate) fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            b => write!(out, "\\u{:04x}", b)?,
+        }
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 struct Parser<'a> {
@@ -422,6 +431,11 @@ mod tests {
         let j = Json::str("line\nwith \"quotes\" and \\ tab\t");
         let back = Json::parse(&j.to_string()).expect("parses");
         assert_eq!(j, back);
+        // Multi-byte text passes through; other control bytes are \u00XX.
+        assert_eq!(
+            Json::str("s2·s3\u{1}é\r").to_string(),
+            "\"s2·s3\\u0001é\\r\""
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use http::{Body, ParseStatus, Request, Response};
 pub use json::{Json, JsonError};
 pub use listener::{serve, serve_durable, ServeConfig, ServerHandle};
 pub use state::ServerState;
-pub use stats::{ConnStats, Endpoint, EndpointCounter, EndpointStats};
+pub use stats::{ConnStats, Endpoint, EndpointCounter, EndpointStats, RenderStats};
 
 /// The crate version reported by `GET /stats`.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");

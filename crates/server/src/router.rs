@@ -15,17 +15,18 @@
 //! performs. With `Accept: text/plain` the response body *is* the CLI
 //! stdout, byte for byte.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use prov_core::minimize::{minimize_with, MinimizeOutcome};
-use prov_engine::AnnotatedResult;
+use prov_engine::{AnnotatedResult, Materialized, RenderFormat};
 use prov_query::{parse_ucq, UnionQuery};
 use prov_semiring::Annotation;
 use prov_storage::textio::parse_tuple_line;
 use prov_storage::{Database, RelName, Tuple};
 
 use crate::http::{Request, Response, STREAM_SEGMENT_BYTES};
-use crate::json::Json;
+use crate::json::{write_escaped, Json};
 use crate::state::ServerState;
 use crate::stats::Endpoint;
 use crate::{budget, VERSION};
@@ -81,17 +82,6 @@ fn query_field(body: &Json) -> Result<UnionQuery, Response> {
         .and_then(Json::as_str)
         .ok_or_else(|| Response::error(400, "missing string field \"query\""))?;
     parse_query(text)
-}
-
-/// Renders an annotated result exactly as `provmin eval` prints it.
-fn result_lines(result: &prov_engine::AnnotatedResult) -> Vec<String> {
-    if result.is_empty() {
-        return vec!["(empty result)".to_owned()];
-    }
-    result
-        .iter()
-        .map(|(tuple, p)| format!("{tuple}  [{p}]"))
-        .collect()
 }
 
 /// Builds a database from text without ever panicking: beyond per-line
@@ -323,119 +313,135 @@ fn handle_eval(state: &ServerState, request: &Request) -> Response {
     // waits for them, then patches the warm views and delta log so the
     // next eval reconciles incrementally instead of rebuilding.
     let db = state.read_db();
-    let result = state.session().eval_ucq_with(&query, &db, options);
+    let Materialized { result, rendered } =
+        state.session().eval_ucq_materialized(&query, &db, options);
     let generation = db.generation();
     drop(db);
-    if request.wants_text() {
-        if result.len() > STREAM_ROWS_THRESHOLD {
-            return streamed_text_eval(result);
-        }
-        return Response::text(200, result_lines(&result).join("\n") + "\n");
-    }
-    let stats = state.session().stats();
+    let (format, content_type, prefix) = if request.wants_text() {
+        (RenderFormat::Text, TEXT, String::new())
+    } else {
+        let head = eval_json_head(generation, result.len(), &state.session().stats());
+        (RenderFormat::Json, "application/json", head)
+    };
     if result.len() > STREAM_ROWS_THRESHOLD {
-        return streamed_json_eval(result, generation, &stats);
+        return streamed_eval(result, format, content_type, prefix);
     }
-    let lines = result_lines(&result);
-    Response::json(
-        200,
-        &Json::Obj(vec![
-            ("generation".to_owned(), Json::from_u64(generation)),
-            ("rows".to_owned(), Json::from_u64(result.len() as u64)),
-            ("cache".to_owned(), cache_json(&stats)),
-            (
-                "results".to_owned(),
-                Json::Arr(lines.into_iter().map(Json::Str).collect()),
-            ),
-        ]),
-    )
+    let (rows, rendered_now) = rendered.get_or_render(format, || {
+        let mut out = String::new();
+        render_rows(&result, None, format, &mut out, usize::MAX);
+        out.into_bytes()
+    });
+    state.render_stats().observe(rendered_now);
+    Response::shared(200, content_type, prefix.into_bytes(), rows)
 }
 
-/// Streams a large text-mode `/eval` result: each chunked segment holds
-/// roughly [`STREAM_SEGMENT_BYTES`] of rendered lines, and the cursor —
-/// the last tuple written — re-seeks into the shared `BTreeMap` result in
-/// O(log n), so the full serialization never exists in memory and the
-/// `Arc` keeps the result alive without copying it per connection.
-fn streamed_text_eval(result: Arc<AnnotatedResult>) -> Response {
-    let mut cursor: Option<Tuple> = None;
-    Response::streamed(
-        200,
-        "text/plain; charset=utf-8",
-        Box::new(move || {
-            let mut seg = Vec::with_capacity(STREAM_SEGMENT_BYTES + 1024);
-            let mut last: Option<Tuple> = None;
-            for (tuple, p) in result.iter_from(cursor.as_ref()) {
-                seg.extend_from_slice(format!("{tuple}  [{p}]\n").as_bytes());
-                last = Some(tuple.clone());
-                if seg.len() >= STREAM_SEGMENT_BYTES {
-                    break;
-                }
-            }
-            let advanced = last?;
-            cursor = Some(advanced);
-            Some(seg)
-        }),
-    )
-}
+/// The plain-text content type.
+const TEXT: &str = "text/plain; charset=utf-8";
 
-/// Streams a large JSON-mode `/eval` result, byte-compatible with the
-/// buffered rendering: the object head (generation/rows/cache) rides in
-/// the first segment, then the `results` array is emitted incrementally
-/// with the same cursor scheme as [`streamed_text_eval`].
-fn streamed_json_eval(
-    result: Arc<AnnotatedResult>,
-    generation: u64,
-    stats: &prov_engine::SessionStats,
-) -> Response {
+/// The JSON `/eval` body up to its `results` member. It carries the
+/// live cache counters, so it is built per request; only the rest of
+/// the body is cached.
+fn eval_json_head(generation: u64, rows: usize, stats: &prov_engine::SessionStats) -> String {
     let mut head = Json::Obj(vec![
         ("generation".to_owned(), Json::from_u64(generation)),
-        ("rows".to_owned(), Json::from_u64(result.len() as u64)),
+        ("rows".to_owned(), Json::from_u64(rows as u64)),
         ("cache".to_owned(), cache_json(stats)),
     ])
     .to_string();
     // NOT inside a debug_assert: the pop must happen in release builds
-    // too, or the streamed prefix keeps the closing brace and the wire
-    // JSON is malformed.
+    // too, or the head keeps the closing brace and the wire JSON is
+    // malformed.
     let closing = head.pop();
     debug_assert_eq!(closing, Some('}'));
-    head.push_str(",\"results\":[");
-    let mut head = Some(head.into_bytes());
+    head.push(',');
+    head
+}
+
+/// The one `/eval` row renderer. Appends the rows of `result` after
+/// `cursor` (all of them for `None`) to `out`, each exactly as
+/// `provmin eval` prints it (`(a)  [s2·s3 + s1]`): one line each in
+/// text; in JSON, the elements of the `results` array, opened by
+/// `"results":[` and closed by `]}`, which ends the body. Stops once
+/// `out` holds `budget` bytes and returns the cursor to resume from;
+/// returns `None` once the rows are exhausted.
+fn render_rows(
+    result: &AnnotatedResult,
+    cursor: Option<&Tuple>,
+    format: RenderFormat,
+    out: &mut String,
+    budget: usize,
+) -> Option<Tuple> {
+    let json = format == RenderFormat::Json;
+    if result.is_empty() {
+        out.push_str(if json {
+            "\"results\":[\"(empty result)\"]}"
+        } else {
+            "(empty result)\n"
+        });
+        return None;
+    }
+    if json && cursor.is_none() {
+        out.push_str("\"results\":[");
+    }
+    let mut first = cursor.is_none();
+    let mut line = String::new();
+    let mut rows = result.iter_from(cursor).peekable();
+    while let Some((tuple, p)) = rows.next() {
+        // Writing into a String cannot fail.
+        if json {
+            if !first {
+                out.push(',');
+            }
+            line.clear();
+            let _ = write!(line, "{tuple}  [{p}]");
+            let _ = write_escaped(out, &line);
+        } else {
+            let _ = writeln!(out, "{tuple}  [{p}]");
+        }
+        first = false;
+        if out.len() >= budget && rows.peek().is_some() {
+            return Some(tuple.clone());
+        }
+    }
+    if json {
+        out.push_str("]}");
+    }
+    None
+}
+
+/// Streams a large `/eval` result in chunked segments of roughly
+/// [`STREAM_SEGMENT_BYTES`] rows each, byte-identical to the buffered
+/// body, with `prefix` riding in the first segment. The cursor — the
+/// last tuple written — re-seeks into the shared `BTreeMap` result in
+/// O(log n), so the full serialization never exists in memory and the
+/// `Arc` keeps the result alive without copying it per connection.
+fn streamed_eval(
+    result: Arc<AnnotatedResult>,
+    format: RenderFormat,
+    content_type: &'static str,
+    prefix: String,
+) -> Response {
+    let mut prefix = Some(prefix);
     let mut cursor: Option<Tuple> = None;
-    let mut emitted_any = false;
     let mut done = false;
     Response::streamed(
         200,
-        "application/json",
+        content_type,
         Box::new(move || {
             if done {
                 return None;
             }
-            let mut seg = head.take().unwrap_or_default();
+            let mut seg = prefix.take().unwrap_or_default();
             seg.reserve(STREAM_SEGMENT_BYTES + 1024);
-            let mut last: Option<Tuple> = None;
-            for (tuple, p) in result.iter_from(cursor.as_ref()) {
-                if emitted_any || last.is_some() {
-                    seg.push(b',');
-                }
-                let line = Json::Str(format!("{tuple}  [{p}]")).to_string();
-                seg.extend_from_slice(line.as_bytes());
-                last = Some(tuple.clone());
-                if seg.len() >= STREAM_SEGMENT_BYTES {
-                    break;
-                }
-            }
-            match last {
-                Some(advanced) => {
-                    cursor = Some(advanced);
-                    emitted_any = true;
-                    Some(seg)
-                }
-                None => {
-                    done = true;
-                    seg.extend_from_slice(b"]}");
-                    Some(seg)
-                }
-            }
+            cursor = render_rows(
+                &result,
+                cursor.as_ref(),
+                format,
+                &mut seg,
+                STREAM_SEGMENT_BYTES,
+            );
+            done = cursor.is_none();
+            Some(seg.into_bytes())
         }),
     )
 }
@@ -603,6 +609,7 @@ fn handle_stats(state: &ServerState) -> Response {
                 Json::from_u64(state.uptime_micros()),
             ),
             ("cache".to_owned(), cache_json(&stats)),
+            ("render".to_owned(), state.render_stats().snapshot()),
             ("durability".to_owned(), durability_json(state)),
             ("endpoints".to_owned(), state.stats().snapshot()),
             ("connections".to_owned(), state.conn_stats().snapshot()),
@@ -705,6 +712,143 @@ mod tests {
         assert_eq!(body.lines().count(), 600);
         assert!(body.starts_with("(v0000)  [t0]\n"));
         assert!(body.ends_with("(v0599)  [t599]\n"));
+    }
+
+    /// The whole `/eval` body for `query`, JSON or (`text`) plain text.
+    fn eval_bytes(state: &ServerState, text: bool, query: &str) -> String {
+        let mut request = post("/eval", &format!(r#"{{"query": "{query}"}}"#));
+        if text {
+            request
+                .headers
+                .push(("accept".to_owned(), "text/plain".to_owned()));
+        }
+        let (_, resp) = route(state, &request);
+        assert_eq!(resp.status, 200);
+        String::from_utf8(resp.into_body_bytes()).expect("utf8")
+    }
+
+    /// `/stats`' `render` counters as `(hits, misses)`.
+    fn render_counters(state: &ServerState) -> (u64, u64) {
+        let (_, resp) = route(
+            state,
+            &Request {
+                method: "GET".to_owned(),
+                path: "/stats".to_owned(),
+                minor_version: 1,
+                headers: Vec::new(),
+                body: Vec::new(),
+            },
+        );
+        let render = body_json(resp).get("render").cloned().expect("render");
+        let count = |k: &str| render.get(k).and_then(Json::as_u64).expect("counter");
+        (count("hits"), count("misses"))
+    }
+
+    /// The rows of a body, one string each, whichever the format.
+    fn rows_of(body: &str, text: bool) -> Vec<String> {
+        if text {
+            return body.lines().map(str::to_owned).collect();
+        }
+        Json::parse(body)
+            .expect("json")
+            .get("results")
+            .and_then(Json::as_array)
+            .expect("array")
+            .iter()
+            .filter_map(Json::as_str)
+            .map(str::to_owned)
+            .collect()
+    }
+
+    #[test]
+    fn render_cache_serves_identical_bytes_until_the_generation_moves() {
+        for text in [false, true] {
+            let state = loaded_state();
+            let q = "ans(x) :- R(x,x)";
+            let first = eval_bytes(&state, text, q);
+            let second = eval_bytes(&state, text, q);
+            assert_eq!(first, second, "a hit must serve the first bytes");
+            assert_eq!(render_counters(&state), (1, 1));
+
+            let (_, mutated) = route(&state, &post("/mutate", r#"{"insert": ["R(c, c) : s5"]}"#));
+            assert_eq!(
+                body_json(mutated).get("cache").and_then(Json::as_str),
+                Some("delta")
+            );
+            let after_mutate = eval_bytes(&state, text, q);
+            assert_eq!(
+                rows_of(&after_mutate, text),
+                ["(a)  [s1]", "(b)  [s4]", "(c)  [s5]"]
+            );
+            assert_eq!(render_counters(&state), (1, 2), "a delta apply re-renders");
+
+            let mut load = post("/load", "R(z, z) : t1\n");
+            load.headers[0].1 = "text/plain".to_owned();
+            assert_eq!(route(&state, &load).1.status, 200);
+            let after_load = eval_bytes(&state, text, q);
+            assert_eq!(rows_of(&after_load, text), ["(z)  [t1]"]);
+            assert_eq!(render_counters(&state), (1, 3), "a load re-renders");
+            assert_eq!(eval_bytes(&state, text, q), after_load);
+            assert_eq!(render_counters(&state), (2, 3));
+
+            // Over the threshold the result streams, around the cache.
+            let mut big = String::new();
+            for i in 0..=STREAM_ROWS_THRESHOLD {
+                big.push_str(&format!("R(v{i:04}, v{i:04}) : b{i}\n"));
+            }
+            let mut load = post("/load", &big);
+            load.headers[0].1 = "text/plain".to_owned();
+            assert_eq!(route(&state, &load).1.status, 200);
+            let mut request = post("/eval", &format!(r#"{{"query": "{q}"}}"#));
+            if text {
+                request
+                    .headers
+                    .push(("accept".to_owned(), "text/plain".to_owned()));
+            }
+            for _ in 0..2 {
+                let (_, resp) = route(&state, &request);
+                assert!(matches!(resp.body, crate::http::Body::Chunks(_)));
+                let body = String::from_utf8(resp.into_body_bytes()).expect("utf8");
+                assert_eq!(rows_of(&body, text).len(), STREAM_ROWS_THRESHOLD + 1);
+            }
+            assert_eq!(render_counters(&state), (2, 3), "streams bypass the cache");
+        }
+    }
+
+    #[test]
+    fn row_renderer_matches_the_json_serializer_at_every_budget() {
+        let state = loaded_state();
+        let query = parse_query("ans(x, y) :- R(x,y) ; ans(x, x) :- R(x,y), R(y,x)").unwrap();
+        let result = state.session().eval_ucq(&query, &state.read_db());
+        let lines: Vec<String> = result
+            .iter()
+            .map(|(tuple, p)| format!("{tuple}  [{p}]"))
+            .collect();
+        let json = Json::Obj(vec![(
+            "results".to_owned(),
+            Json::Arr(lines.iter().cloned().map(Json::Str).collect()),
+        )])
+        .to_string()[1..]
+            .to_owned();
+        let text = lines.join("\n") + "\n";
+        for (format, expected) in [(RenderFormat::Json, json), (RenderFormat::Text, text)] {
+            for budget in [1, 20, usize::MAX] {
+                let mut out = String::new();
+                let mut cursor = None;
+                let mut segments = 0;
+                loop {
+                    segments += 1;
+                    cursor = render_rows(&result, cursor.as_ref(), format, &mut out, budget);
+                    if cursor.is_none() {
+                        break;
+                    }
+                }
+                assert_eq!(out, expected, "{format:?} at budget {budget}");
+                if budget == 1 {
+                    assert_eq!(segments, result.len(), "one row per segment");
+                }
+            }
+        }
     }
 
     #[test]

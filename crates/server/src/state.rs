@@ -24,7 +24,7 @@ use std::time::Instant;
 use prov_engine::EvalSession;
 use prov_storage::{Database, DurableStore, DELTA_LOG_CAPACITY};
 
-use crate::stats::{ConnStats, EndpointStats};
+use crate::stats::{ConnStats, EndpointStats, RenderStats};
 
 /// Everything the worker threads share.
 #[derive(Debug)]
@@ -33,6 +33,7 @@ pub struct ServerState {
     session: EvalSession,
     stats: EndpointStats,
     conns: ConnStats,
+    render: RenderStats,
     shutdown: AtomicBool,
     started: Instant,
     /// The durability coordinator, when the server runs with
@@ -65,6 +66,7 @@ impl ServerState {
             session: EvalSession::new(),
             stats: EndpointStats::default(),
             conns: ConnStats::default(),
+            render: RenderStats::default(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             durability: durability.map(Mutex::new),
@@ -133,6 +135,11 @@ impl ServerState {
     /// The connection-level counters (keep-alive transport telemetry).
     pub fn conn_stats(&self) -> &ConnStats {
         &self.conns
+    }
+
+    /// The `/eval` render-cache counters.
+    pub fn render_stats(&self) -> &RenderStats {
+        &self.render
     }
 
     /// Asks the accept loop (and the CLI wait loop) to wind down.

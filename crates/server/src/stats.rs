@@ -57,6 +57,38 @@ impl EndpointCounter {
     }
 }
 
+/// Counters of the `/eval` render cache, surfaced as the `render`
+/// object of `GET /stats`: bodies served from bytes already rendered for
+/// the result's generation (`hits`) and bodies rendered into the cache
+/// (`misses`). Streamed results bypass the cache and count as neither.
+#[derive(Debug, Default)]
+pub struct RenderStats {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl RenderStats {
+    /// Records one cached body: `rendered` if this request rendered it.
+    pub fn observe(&self, rendered: bool) {
+        let counter = if rendered { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The counters as the `/stats` `render` JSON object.
+    pub fn snapshot(&self) -> Json {
+        Json::Obj(vec![
+            (
+                "hits".to_owned(),
+                Json::from_u64(self.hits.load(Ordering::Relaxed)),
+            ),
+            (
+                "misses".to_owned(),
+                Json::from_u64(self.misses.load(Ordering::Relaxed)),
+            ),
+        ])
+    }
+}
+
 /// Connection-level counters for the keep-alive transport, surfaced as
 /// the `connections` object of `GET /stats`.
 #[derive(Debug, Default)]

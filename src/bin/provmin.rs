@@ -601,9 +601,12 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
         None => recovered.unwrap_or_else(|| Database::with_delta_capacity(config.delta_capacity)),
     };
     let tuples = db.num_tuples();
+    // Handlers go in before the listener binds: a SIGTERM that arrives as
+    // soon as the first request is answered must still drain and write
+    // the final snapshot, not kill the process with the default action.
+    install_shutdown_handlers();
     let handle = provmin::server::serve_durable(config.clone(), db, store)
         .map_err(|e| format!("bind {}: {e}", config.addr))?;
-    install_shutdown_handlers();
     eprintln!(
         "provmin serve: listening on http://{} ({} worker(s), {} tuple(s) loaded{})",
         handle.addr(),

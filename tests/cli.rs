@@ -250,3 +250,77 @@ fn fuzz_list_specs_prints_every_builtin() {
         assert!(text.lines().any(|l| l == name), "{name} listed: {text}");
     }
 }
+
+/// `GET /stats` over a fresh connection: whether it answered 200.
+fn stats_answers_200(addr: &str) -> bool {
+    use std::io::{Read, Write};
+    let Ok(mut stream) = std::net::TcpStream::connect(addr) else {
+        return false;
+    };
+    if stream
+        .write_all(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .is_err()
+    {
+        return false;
+    }
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    reply.starts_with(b"HTTP/1.1 200 ")
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_right_after_the_first_stats_200_drains_cleanly() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let db = TempDb::new("sigterm", TABLE_2);
+    let data_dir = std::env::temp_dir().join(format!("provmin_cli_sigterm_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_provmin"))
+        .args(["serve", "--addr", &addr, "--db", db.path(), "--data-dir"])
+        .arg(&data_dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("provmin serve spawns");
+    // Poll without waiting for the "listening" line: the signal must land
+    // as early as a client can know the server is up.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !stats_answers_200(&addr) {
+        assert!(
+            child.try_wait().expect("try_wait").is_none(),
+            "serve exited during start-up"
+        );
+        assert!(Instant::now() < deadline, "no 200 on /stats within 30 s");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let pid = i32::try_from(child.id()).expect("pid fits i32");
+    // SAFETY: `kill(2)` takes two integers and touches no memory of this
+    // process; `pid` is an unreaped child, so it names no other process.
+    unsafe {
+        kill(pid, SIGTERM);
+    }
+    let output = child.wait_with_output().expect("serve exits");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    let _ = std::fs::remove_dir_all(&data_dir);
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "SIGTERM must drain to a clean exit, not kill the process: {stderr}"
+    );
+    assert!(stderr.contains("SIGTERM — draining"), "{stderr}");
+    assert!(
+        stderr.contains("provmin serve: shutdown complete"),
+        "{stderr}"
+    );
+}
