@@ -70,7 +70,7 @@ fn bench_incremental_maintenance(c: &mut Criterion) {
     let db0 = binary_db(800, 30, 1);
     let mut group = c.benchmark_group("incremental_qconj");
     group.bench_function("delta_cycle/800", |b| {
-        let session = EvalSession::with_options(EvalOptions::batched());
+        let session = EvalSession::with_options(EvalOptions::default());
         let mut db = db0.clone();
         session.eval_cq(&qconj, &db);
         b.iter(|| {
@@ -84,7 +84,7 @@ fn bench_incremental_maintenance(c: &mut Criterion) {
         let mut db = db0.clone();
         b.iter(|| {
             db.add("R", &["inc_x", "inc_x"], "inc_a");
-            let cold = EvalSession::with_options(EvalOptions::batched());
+            let cold = EvalSession::with_options(EvalOptions::default());
             black_box(cold.eval_cq(&qconj, &db));
             db.remove(rel, &fresh);
         })
@@ -92,9 +92,9 @@ fn bench_incremental_maintenance(c: &mut Criterion) {
     group.finish();
 }
 
-// Columnar batched pipeline vs tuple-at-a-time, cold and through a warm
-// persistent EvalSession (results are bit-identical across all of them —
-// the three-way equivalence proptest; only wall-clock differs).
+// The columnar batched pipeline, cold and through a warm persistent
+// EvalSession (results are bit-identical across all of them — the
+// equivalence proptests; only wall-clock differs).
 fn bench_batched_eval(c: &mut Criterion) {
     use prov_engine::{eval_cq_with, EvalOptions, EvalSession};
     let qconj = parse_cq("ans(x) :- R(x,y), R(y,x)").unwrap();
@@ -102,18 +102,15 @@ fn bench_batched_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("eval_batched_qconj");
     for &n in &[200usize, 800] {
         let db = binary_db(n, (n as f64).sqrt() as usize + 2, 1);
-        group.bench_with_input(BenchmarkId::new("tuple", n), &db, |b, db| {
+        group.bench_with_input(BenchmarkId::new("batched", n), &db, |b, db| {
             b.iter(|| black_box(eval_cq_with(&qconj, db, EvalOptions::default())))
         });
-        group.bench_with_input(BenchmarkId::new("batched", n), &db, |b, db| {
-            b.iter(|| black_box(eval_cq_with(&qconj, db, EvalOptions::batched())))
-        });
         group.bench_with_input(BenchmarkId::new("session_warm", n), &db, |b, db| {
-            let session = EvalSession::with_options(EvalOptions::batched());
+            let session = EvalSession::with_options(EvalOptions::default());
             b.iter(|| black_box(session.eval_cq(&qconj, db)))
         });
         group.bench_with_input(BenchmarkId::new("batched_par4", n), &db, |b, db| {
-            let options = EvalOptions::batched().with_parallelism(4);
+            let options = EvalOptions::default().with_parallelism(4);
             b.iter(|| black_box(eval_cq_with(&qconj, db, options)))
         });
     }
@@ -121,11 +118,8 @@ fn bench_batched_eval(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("eval_batched_triangle");
     let db = binary_db(50, 9, 1);
-    group.bench_with_input(BenchmarkId::new("tuple", 50), &db, |b, db| {
-        b.iter(|| black_box(eval_cq_with(&triangle, db, EvalOptions::default())))
-    });
     group.bench_with_input(BenchmarkId::new("batched", 50), &db, |b, db| {
-        b.iter(|| black_box(eval_cq_with(&triangle, db, EvalOptions::batched())))
+        b.iter(|| black_box(eval_cq_with(&triangle, db, EvalOptions::default())))
     });
     group.finish();
 }
@@ -149,23 +143,14 @@ fn bench_strategy_ablation(c: &mut Criterion) {
             b.iter(|| black_box(eval_cq_with(&selective, db, EvalOptions::syntactic())))
         });
         group.bench_with_input(BenchmarkId::new("index_only", n), &db, |b, db| {
-            b.iter(|| {
-                black_box(eval_cq_with(
-                    &selective,
-                    db,
-                    EvalOptions {
-                        planner: PlannerKind::WrittenOrder,
-                        use_index: true,
-                        ..EvalOptions::default()
-                    },
-                ))
-            })
+            let options = EvalOptions::default().with_planner(PlannerKind::WrittenOrder);
+            b.iter(|| black_box(eval_cq_with(&selective, db, options)))
         });
     }
     group.finish();
 }
 
-// Sharded parallel evaluation vs thread count on the large substrate.
+// Parallel evaluation vs thread count on the large substrate.
 // Results are bit-identical to sequential (⊕-commutativity); only
 // wall-clock differs. On a single-vCPU host expect parity, not speedup.
 fn bench_parallel_eval(c: &mut Criterion) {

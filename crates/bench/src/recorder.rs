@@ -95,31 +95,21 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         out.push(measure(id, budget_ms, f));
     };
 
-    // B1 eval_throughput — sequential, planned, and parallel variants.
-    // The unsuffixed rows pin `EvalOptions::tuple()` explicitly: they have
-    // always measured the tuple-at-a-time path and must keep doing so now
-    // that `EvalOptions::default()` is the batched pipeline (the `/batched`
-    // rows below measure that).
+    // B1 eval_throughput — sequential, planned, and parallel variants of
+    // the batched pipeline (`EvalOptions::default()`).
     let qconj = parse_cq("ans(x) :- R(x,y), R(y,x)").expect("qconj parses");
     let triangle = parse_cq("ans() :- R(x,y), R(y,z), R(z,x)").expect("triangle parses");
     let selective = parse_cq("ans(x) :- R(x,y), R(y,'d1'), R('d0',x)").expect("parses");
     let db200 = binary_db(200, 16, 1);
     let db800 = binary_db(800, 30, 1);
-    let tuple = EvalOptions::tuple();
-    record("eval_throughput/qconj/200", &mut || {
-        std::hint::black_box(eval_cq_with(&qconj, &db200, tuple));
-    });
-    record("eval_throughput/qconj/800", &mut || {
-        std::hint::black_box(eval_cq_with(&qconj, &db800, tuple));
-    });
-    let par4 = EvalOptions::tuple().with_parallelism(4);
+    let par4 = EvalOptions::default().with_parallelism(4);
     record("eval_throughput/qconj/800/par4", &mut || {
         std::hint::black_box(eval_cq_with(&qconj, &db800, par4));
     });
-    // Columnar batched pipeline, cold (per-call view build) and against a
-    // persistent IndexCache (the serving configuration: index + columnar
-    // views amortized across evaluations of one loaded database).
-    let batched = EvalOptions::batched();
+    // Cold (per-call view build) and against a persistent session (the
+    // serving configuration: index + columnar views amortized across
+    // evaluations of one loaded database).
+    let batched = EvalOptions::default();
     record("eval_throughput/qconj/200/batched", &mut || {
         std::hint::black_box(eval_cq_with(&qconj, &db200, batched));
     });
@@ -137,9 +127,6 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         std::hint::black_box(warm.eval_cq(&qconj, &db800));
     });
     let db50 = binary_db(50, 9, 1);
-    record("eval_throughput/triangle/50", &mut || {
-        std::hint::black_box(eval_cq_with(&triangle, &db50, tuple));
-    });
     record("eval_throughput/triangle/50/batched", &mut || {
         std::hint::black_box(eval_cq_with(&triangle, &db50, batched));
     });
@@ -147,7 +134,7 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         std::hint::black_box(eval_cq_with(&selective, &db200, EvalOptions::naive()));
     });
     record("eval_strategy/cost_planned/200", &mut || {
-        std::hint::black_box(eval_cq_with(&selective, &db200, tuple));
+        std::hint::black_box(eval_cq_with(&selective, &db200, batched));
     });
 
     // Serve loop: full HTTP round trips against an in-process
@@ -388,8 +375,8 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         let fanjoin = parse_cq("ans(y,z) :- R(x,y), R(x,z)").expect("fanjoin parses");
         // Chunk below the first atom's 128 candidate rows so the slicing
         // path actually runs: peak drops from n² to chunk × n.
-        let chunked_opts = EvalOptions::batched().with_chunk_rows(16);
-        let unchunked_opts = EvalOptions::batched().unchunked();
+        let chunked_opts = EvalOptions::default().with_chunk_rows(16);
+        let unchunked_opts = EvalOptions::default().unchunked();
         record("eval_throughput/fanout_selfjoin/chunked", &mut || {
             std::hint::black_box(eval_cq_with(&fanjoin, &fan, chunked_opts));
         });
@@ -467,9 +454,7 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
         .expect("well-formed")
         .expect("satisfiable");
     // Substrate rows stay on the *default* options deliberately: they
-    // track what a library user gets, which since the flip is the batched
-    // pipeline. (`par4` above is pinned to the tuple path, preserving the
-    // row's original meaning.)
+    // track what a library user gets.
     record("substrates/algebra_compiled/200", &mut || {
         std::hint::black_box(eval_ucq_with(&compiled, &db200, EvalOptions::default()));
     });

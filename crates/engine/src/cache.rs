@@ -200,8 +200,8 @@ impl IndexCache {
     }
 
     /// Records that an evaluation materialized a frontier of `rows`
-    /// partial-assignment rows at once (a block of the batched pipeline,
-    /// or the assignment buffer of the tuple paths). Keeps the maximum.
+    /// partial-assignment rows at once (a block of the batched pipeline).
+    /// Keeps the maximum.
     pub(crate) fn observe_frontier(&self, rows: usize) {
         self.peak_frontier.fetch_max(rows as u64, Ordering::Relaxed);
     }

@@ -75,11 +75,10 @@ pub struct SessionStats {
     pub invalidations: u64,
     /// High-water mark of materialized frontier rows across this
     /// session's evaluations: the largest partial-assignment block the
-    /// batched pipeline held at once (or assignment buffer, for the
-    /// tuple paths). With [`EvalOptions::chunk_rows`] set this stays
-    /// bounded by chunk size × the largest one-step fan-out — the
-    /// memory-boundedness witness reported on `/stats` and
-    /// `--cache-stats`.
+    /// batched pipeline held at once. With [`EvalOptions::chunk_rows`]
+    /// set this stays bounded by chunk size × the largest one-step
+    /// fan-out — the memory-boundedness witness reported on `/stats`
+    /// and `--cache-stats`.
     pub peak_frontier_rows: u64,
 }
 

@@ -48,9 +48,9 @@ fn readers_never_see_stale_results_and_reconcile_once() {
                 // Alternate strategies: all readers share the one session
                 // entry regardless of how a miss would be evaluated.
                 let options = if reader % 2 == 0 {
-                    EvalOptions::batched()
+                    EvalOptions::default()
                 } else {
-                    EvalOptions::tuple()
+                    EvalOptions::default().with_parallelism(2)
                 };
                 for _ in 0..EVALS_PER_READER {
                     let guard = db.read().expect("not poisoned");

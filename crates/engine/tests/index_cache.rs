@@ -28,42 +28,41 @@ fn mutation_invalidates_cached_index() {
     // restricted delta pass; removals are monomial surgery on the
     // materialized result and never touch the view cache at all. Either
     // way the one cold build stays the only build.
-    for options in [EvalOptions::tuple(), EvalOptions::batched()] {
-        let session = EvalSession::with_options(options);
-        let before = session.eval_cq(&q, &db);
-        assert_eq!(before.len(), 2);
+    let options = EvalOptions::default();
+    let session = EvalSession::with_options(options);
+    let before = session.eval_cq(&q, &db);
+    assert_eq!(before.len(), 2);
 
-        // Mutate: the warm views must never be served stale — a stale
-        // index would miss the new tuple entirely.
-        let mut mutated = db.clone();
-        mutated.add("R", &["c", "c"], "inv_c");
-        let after = session.eval_cq(&q, &mutated);
-        assert_eq!(after.len(), 3, "stale index reused under {options:?}");
-        assert_eq!(
-            after.provenance(&Tuple::of(&["c"])),
-            Polynomial::parse("inv_c·inv_c")
-        );
-        assert_eq!(*after, eval_cq_with(&q, &mutated, options));
-        assert_eq!(
-            session.stats().views.misses,
-            1,
-            "insert must patch the warm entry, not rebuild"
-        );
+    // Mutate: the warm views must never be served stale — a stale
+    // index would miss the new tuple entirely.
+    let mut mutated = db.clone();
+    mutated.add("R", &["c", "c"], "inv_c");
+    let after = session.eval_cq(&q, &mutated);
+    assert_eq!(after.len(), 3, "stale index reused under {options:?}");
+    assert_eq!(
+        after.provenance(&Tuple::of(&["c"])),
+        Polynomial::parse("inv_c·inv_c")
+    );
+    assert_eq!(*after, eval_cq_with(&q, &mutated, options));
+    assert_eq!(
+        session.stats().views.misses,
+        1,
+        "insert must patch the warm entry, not rebuild"
+    );
 
-        // Removal never serves stale either, and it is pure monomial
-        // surgery: no view-cache traffic, no re-evaluation.
-        mutated.remove(RelName::new("R"), &Tuple::of(&["c", "c"]));
-        let back = session.eval_cq(&q, &mutated);
-        assert_eq!(back, before);
-        let stats = session.stats();
-        assert_eq!(stats.views.misses, 1, "removal must not rebuild views");
-        assert!(stats.monomials_dropped >= 1, "removal drops monomials");
-    }
+    // Removal never serves stale either, and it is pure monomial
+    // surgery: no view-cache traffic, no re-evaluation.
+    mutated.remove(RelName::new("R"), &Tuple::of(&["c", "c"]));
+    let back = session.eval_cq(&q, &mutated);
+    assert_eq!(back, before);
+    let stats = session.stats();
+    assert_eq!(stats.views.misses, 1, "removal must not rebuild views");
+    assert!(stats.monomials_dropped >= 1, "removal drops monomials");
 
     // Unchanged database: repeated evaluations are materialized-result
     // hits — one view build total, and the repeat never re-enters the
     // view cache at all.
-    let session = EvalSession::with_options(EvalOptions::batched());
+    let session = EvalSession::new();
     session.eval_cq(&q, &db);
     session.eval_cq(&q, &db);
     let stats = session.stats();
@@ -103,9 +102,7 @@ fn session_results_equal_uncached_across_strategies() {
         let q = parse_cq(text).unwrap();
         for options in [
             EvalOptions::default(),
-            EvalOptions::batched(),
             EvalOptions::default().with_parallelism(4),
-            EvalOptions::batched().with_parallelism(4),
         ] {
             let session = EvalSession::with_options(options);
             assert_eq!(

@@ -1,10 +1,10 @@
-//! Property: every execution strategy of the engine — tuple-at-a-time or
-//! columnar batched, sequential or sharded-parallel, under either planner
-//! — is *identical* (same tuples, same provenance polynomials, same
+//! Property: every setting of the engine's batched pipeline — sequential
+//! or block-sharded parallel, chunked or not, under every planner — is
+//! *identical* (same tuples, same provenance polynomials, same
 //! coefficients) to sequential naive evaluation, on random CQ≠ queries
-//! and random databases. This is the ⊕-merge correctness argument of the
-//! parallel pipeline and the regrouping argument of the batched pipeline
-//! checked empirically as a three-way equivalence.
+//! and random databases. This is the ⊕-merge correctness argument of
+//! parallel evaluation and the regrouping argument of the batched
+//! pipeline checked empirically.
 
 use proptest::prelude::*;
 
@@ -34,41 +34,31 @@ proptest! {
         let q = random_cq(&spec, query_seed);
         let db = random_database(&DatabaseSpec::single_binary(24, 5), db_seed);
         let reference = eval_cq_with(&q, &db, EvalOptions::naive());
-        for batch in [false, true] {
-            for planner in [PlannerKind::Syntactic, PlannerKind::CostBased] {
-                for threads in [1usize, 4] {
-                    // chunk_rows only shapes the batched pipeline, so the
-                    // tuple path runs the axis once. 1 and 7 force the
-                    // re-chunking recursion constantly; 64Ki is the
-                    // default; None is the unbounded legacy behaviour.
-                    let chunk_axis: &[Option<usize>] = if batch {
-                        &[Some(1), Some(7), Some(64 * 1024), None]
-                    } else {
-                        &[None]
+        for planner in [PlannerKind::Syntactic, PlannerKind::CostBased] {
+            for threads in [1usize, 4] {
+                // 1 and 7 force the re-chunking recursion constantly;
+                // 64Ki is the default; None is the unbounded legacy
+                // behaviour.
+                for chunk in [Some(1), Some(7), Some(64 * 1024), None] {
+                    let mut options = EvalOptions::default()
+                        .with_planner(planner)
+                        .with_parallelism(threads);
+                    options = match chunk {
+                        Some(rows) => options.with_chunk_rows(rows),
+                        None => options.unchunked(),
                     };
-                    for &chunk in chunk_axis {
-                        let mut options = EvalOptions::default()
-                            .with_batch(batch)
-                            .with_planner(planner)
-                            .with_parallelism(threads);
-                        options = match chunk {
-                            Some(rows) => options.with_chunk_rows(rows),
-                            None => options.unchunked(),
-                        };
-                        let result = eval_cq_with(&q, &db, options);
-                        prop_assert_eq!(
-                            &result,
-                            &reference,
-                            "batch={} × {:?} × {} threads × chunk {:?} diverges on {} (query seed {}, db seed {})",
-                            batch,
-                            planner,
-                            threads,
-                            chunk,
-                            q,
-                            query_seed,
-                            db_seed
-                        );
-                    }
+                    let result = eval_cq_with(&q, &db, options);
+                    prop_assert_eq!(
+                        &result,
+                        &reference,
+                        "{:?} × {} threads × chunk {:?} diverges on {} (query seed {}, db seed {})",
+                        planner,
+                        threads,
+                        chunk,
+                        q,
+                        query_seed,
+                        db_seed
+                    );
                 }
             }
         }
@@ -79,7 +69,7 @@ proptest! {
         query_seed in 0u64..200,
         db_seed in 0u64..40,
     ) {
-        // The PR 2 shape kept for coverage: 2 and 8 threads, both modes.
+        // Wider pools than the matrix above: 2 and 8 threads.
         let spec = QuerySpec {
             diseq_percent: 25,
             ..QuerySpec::binary(3, 4)
@@ -87,22 +77,17 @@ proptest! {
         let q = random_cq(&spec, query_seed);
         let db = random_database(&DatabaseSpec::single_binary(24, 5), db_seed);
         let reference = eval_cq_with(&q, &db, EvalOptions::naive());
-        for batch in [false, true] {
-            for threads in [2usize, 8] {
-                let options = EvalOptions::default()
-                    .with_batch(batch)
-                    .with_parallelism(threads);
-                prop_assert_eq!(
-                    &eval_cq_with(&q, &db, options),
-                    &reference,
-                    "batch={} × {} threads diverges on {} (query seed {}, db seed {})",
-                    batch,
-                    threads,
-                    q,
-                    query_seed,
-                    db_seed
-                );
-            }
+        for threads in [2usize, 8] {
+            let options = EvalOptions::default().with_parallelism(threads);
+            prop_assert_eq!(
+                &eval_cq_with(&q, &db, options),
+                &reference,
+                "{} threads diverges on {} (query seed {}, db seed {})",
+                threads,
+                q,
+                query_seed,
+                db_seed
+            );
         }
     }
 
@@ -120,25 +105,21 @@ proptest! {
         let sampler = Sampler::named(name).expect(name);
         let scenario = sampler.scenario(seed, case);
         let reference = eval_ucq_with(&scenario.query, &scenario.database, EvalOptions::naive());
-        for batch in [false, true] {
-            for planner in [PlannerKind::WrittenOrder, PlannerKind::Syntactic, PlannerKind::CostBased] {
-                for threads in [1usize, 4] {
-                    let options = EvalOptions::default()
-                        .with_batch(batch)
-                        .with_planner(planner)
-                        .with_parallelism(threads);
-                    let result = eval_ucq_with(&scenario.query, &scenario.database, options);
-                    prop_assert_eq!(
-                        &result,
-                        &reference,
-                        "batch={} × {:?} × {} threads diverges on {} ({})",
-                        batch,
-                        planner,
-                        threads,
-                        &scenario.query,
-                        scenario.replay()
-                    );
-                }
+        for planner in [PlannerKind::WrittenOrder, PlannerKind::Syntactic, PlannerKind::CostBased] {
+            for threads in [1usize, 4] {
+                let options = EvalOptions::default()
+                    .with_planner(planner)
+                    .with_parallelism(threads);
+                let result = eval_ucq_with(&scenario.query, &scenario.database, options);
+                prop_assert_eq!(
+                    &result,
+                    &reference,
+                    "{:?} × {} threads diverges on {} ({})",
+                    planner,
+                    threads,
+                    &scenario.query,
+                    scenario.replay()
+                );
             }
         }
     }
@@ -157,69 +138,53 @@ proptest! {
         let sampler = Sampler::named("mutate").expect("built-in mutate spec");
         let scenario = sampler.scenario(seed, case);
         let rel = RelName::new("R");
-        let sessions: Vec<EvalSession> = [EvalOptions::tuple(), EvalOptions::batched()]
-            .into_iter()
-            .map(EvalSession::with_options)
-            .collect();
-        let mut dbs = vec![scenario.database.clone(), scenario.database.clone()];
-        for (session, db) in sessions.iter().zip(&dbs) {
-            session.eval_ucq(&scenario.query, db);
-        }
+        let session = EvalSession::new();
+        let mut db = scenario.database.clone();
+        session.eval_ucq(&scenario.query, &db);
         for (step_index, step) in scenario.mutations.iter().enumerate() {
-            for (session, db) in sessions.iter().zip(&mut dbs) {
-                match step {
-                    MutationStep::Insert(tuple, annotation) => {
-                        session.apply_mutation(db, &[], &[(rel, tuple.clone(), *annotation)])
-                    }
-                    MutationStep::Remove(tuple) => {
-                        session.apply_mutation(db, &[(rel, tuple.clone())], &[])
-                    }
-                };
-            }
-            let scratch = eval_ucq_with(&scenario.query, &dbs[0], EvalOptions::naive());
-            for (session, db) in sessions.iter().zip(&dbs) {
-                prop_assert_eq!(
-                    &*session.eval_ucq(&scenario.query, db),
-                    &scratch,
-                    "incremental {:?} diverged from from-scratch at step {} ({})",
-                    session.options(),
-                    step_index,
-                    scenario.replay()
-                );
-            }
+            match step {
+                MutationStep::Insert(tuple, annotation) => {
+                    session.apply_mutation(&mut db, &[], &[(rel, tuple.clone(), *annotation)])
+                }
+                MutationStep::Remove(tuple) => {
+                    session.apply_mutation(&mut db, &[(rel, tuple.clone())], &[])
+                }
+            };
+            let scratch = eval_ucq_with(&scenario.query, &db, EvalOptions::naive());
+            prop_assert_eq!(
+                &*session.eval_ucq(&scenario.query, &db),
+                &scratch,
+                "incremental evaluation diverged from from-scratch at step {} ({})",
+                step_index,
+                scenario.replay()
+            );
         }
         // Every script starts with a real removal, so the delta path must
-        // have fired at least once per session.
-        for session in &sessions {
-            prop_assert!(
-                session.stats().delta_applies >= 1,
-                "mutation script never exercised the delta path ({})",
-                scenario.replay()
-            );
-        }
+        // have fired at least once.
+        prop_assert!(
+            session.stats().delta_applies >= 1,
+            "mutation script never exercised the delta path ({})",
+            scenario.replay()
+        );
 
-        // Log truncation: overflow the delta log behind the sessions'
-        // backs; the next evaluation must fall back to a full rebuild and
+        // Log truncation: overflow the delta log behind the session's
+        // back; the next evaluation must fall back to a full rebuild and
         // still match from-scratch exactly.
-        for db in &mut dbs {
-            for j in 0..DELTA_LOG_CAPACITY + 1 {
-                db.add("R", &[&format!("t{j}"), "v0"], &format!("trunc_{seed}_{case}_{j}"));
-            }
+        for j in 0..DELTA_LOG_CAPACITY + 1 {
+            db.add("R", &[&format!("t{j}"), "v0"], &format!("trunc_{seed}_{case}_{j}"));
         }
-        let scratch = eval_ucq_with(&scenario.query, &dbs[0], EvalOptions::naive());
-        for (session, db) in sessions.iter().zip(&dbs) {
-            let rebuilds_before = session.stats().full_rebuilds;
-            prop_assert_eq!(
-                &*session.eval_ucq(&scenario.query, db),
-                &scratch,
-                "post-truncation divergence ({})",
-                scenario.replay()
-            );
-            prop_assert_eq!(
-                session.stats().full_rebuilds,
-                rebuilds_before + 1,
-                "truncated log must force exactly one rebuild"
-            );
-        }
+        let scratch = eval_ucq_with(&scenario.query, &db, EvalOptions::naive());
+        let rebuilds_before = session.stats().full_rebuilds;
+        prop_assert_eq!(
+            &*session.eval_ucq(&scenario.query, &db),
+            &scratch,
+            "post-truncation divergence ({})",
+            scenario.replay()
+        );
+        prop_assert_eq!(
+            session.stats().full_rebuilds,
+            rebuilds_before + 1,
+            "truncated log must force exactly one rebuild"
+        );
     }
 }

@@ -1,8 +1,7 @@
 //! The soak behind the batched-default flip, upgraded for incremental
 //! maintenance: persistent [`EvalSession`]s carried across interleaved
-//! database mutations, across {batched, tuple} × {1, 4 threads} plus a
-//! UCQ session. Every incrementally-maintained result must be
-//! bit-identical to a fresh naive evaluation of the *current* database —
+//! database mutations, on 1 and 4 threads plus a UCQ session. Every
+//! incrementally-maintained result must be bit-identical to a fresh naive evaluation of the *current* database —
 //! the mutations happen behind the sessions' backs (no
 //! `apply_mutation`), so reconciliation rides purely on the database's
 //! delta log. The counters must show the cheap path was actually taken:
@@ -62,10 +61,8 @@ proptest! {
         let replay = scenario.replay();
         let mut db = scenario.database;
         let sessions: Vec<EvalSession> = [
-            EvalOptions::tuple(),
-            EvalOptions::tuple().with_parallelism(4),
-            EvalOptions::batched(),
-            EvalOptions::batched().with_parallelism(4),
+            EvalOptions::default(),
+            EvalOptions::default().with_parallelism(4),
         ]
         .into_iter()
         .map(EvalSession::with_options)

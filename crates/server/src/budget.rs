@@ -18,7 +18,8 @@ use crate::json::Json;
 pub const MAX_THREADS: u64 = 64;
 
 /// Reads `/eval` strategy fields from the request body:
-/// `mode` (`"batched"` default / `"tuple"`), `threads` (1 ..=
+/// `mode` (only `"batched"`, the one pipeline — accepted as a no-op),
+/// `threads` (1 ..=
 /// [`MAX_THREADS`]), `planner` (`"written"`, `"syntactic"`, `"cost"`),
 /// `chunk_rows` (frontier chunk size for the batched pipeline; 0
 /// disables chunking). Unknown fields are ignored so clients can
@@ -27,11 +28,9 @@ pub fn eval_options(body: &Json) -> Result<EvalOptions, String> {
     let mut options = EvalOptions::default();
     if let Some(mode) = body.get("mode") {
         let mode = mode.as_str().ok_or("\"mode\" must be a string")?;
-        options = match mode {
-            "batched" => options.with_batch(true),
-            "tuple" => options.with_batch(false),
-            other => return Err(format!("unknown mode {other:?} (batched|tuple)")),
-        };
+        if mode != "batched" {
+            return Err(format!("unknown mode {mode:?} (batched)"));
+        }
     }
     if let Some(threads) = body.get("threads") {
         let n = threads
@@ -116,15 +115,17 @@ mod tests {
         let defaults = eval_options(&obj("{}")).expect("defaults");
         assert_eq!(defaults, EvalOptions::default());
         let opts = eval_options(&obj(
-            r#"{"mode":"tuple","threads":4,"planner":"syntactic"}"#,
+            r#"{"mode":"batched","threads":4,"planner":"syntactic"}"#,
         ))
         .expect("parses");
         assert_eq!(
             opts,
-            EvalOptions::tuple()
+            EvalOptions::default()
                 .with_parallelism(4)
                 .with_planner(PlannerKind::Syntactic)
         );
+        let removed = eval_options(&obj(r#"{"mode":"tuple"}"#)).expect_err("tuple is gone");
+        assert!(removed.contains("mode"), "{removed}");
         assert!(eval_options(&obj(r#"{"mode":"vectorized"}"#)).is_err());
         assert!(eval_options(&obj(r#"{"threads":0}"#)).is_err());
         assert!(eval_options(&obj(r#"{"planner":"best"}"#)).is_err());

@@ -221,6 +221,28 @@ fn malformed_requests_do_not_wedge_the_server() {
 }
 
 #[test]
+fn removed_tuple_mode_is_a_400_naming_mode() {
+    let (handle, addr) = start(TABLE_2);
+    let (status, body) = client::post_json(
+        &addr,
+        "/eval",
+        r#"{"query": "ans(x) :- R(x,x)", "mode": "tuple"}"#,
+    )
+    .expect("round trip");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("mode"), "the error names the field: {body}");
+    // The one remaining pipeline is still accepted by name.
+    let (status, _) = client::post_json(
+        &addr,
+        "/eval",
+        r#"{"query": "ans(x) :- R(x,x)", "mode": "batched"}"#,
+    )
+    .expect("round trip");
+    assert_eq!(status, 200);
+    handle.shutdown();
+}
+
+#[test]
 fn keepalive_connection_serves_many_requests() {
     let (handle, addr) = start(TABLE_2);
     let eval = r#"{"query": "ans(x) :- R(x,x)"}"#;

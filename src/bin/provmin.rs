@@ -16,12 +16,9 @@
 //! `eval` and `core` accept evaluation-strategy flags anywhere on the
 //! command line:
 //!
-//! * `--threads N` — sharded parallel evaluation on `N` worker threads
-//!   (results are identical to sequential; ⊕ is commutative).
+//! * `--threads N` — parallel evaluation on `N` worker threads (results
+//!   are identical to sequential; ⊕ is commutative).
 //! * `--planner written|syntactic|cost` — join planner (default `cost`).
-//! * `--batch` / `--tuple` — columnar batched evaluation (the default
-//!   since the soak of the equivalence suite) or the tuple-at-a-time
-//!   escape hatch. Identical results either way.
 //! * `--chunk-rows N` — frontier chunk size of the batched pipeline
 //!   (default 65536, `0` = unchunked): bounds peak evaluation memory at
 //!   O(chunk × one step's fan-out) with bit-identical results (see the
@@ -93,9 +90,9 @@ const EXIT_BUDGET_EXHAUSTED: u8 = 3;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  provmin eval [--threads N] [--planner written|syntactic|cost] [--batch|--tuple] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
+        "usage:\n  provmin eval [--threads N] [--planner written|syntactic|cost] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
          provmin minimize [--strategy minprov|auto|standard|dedup] [--budget-steps N] [--budget-ms N] [--no-memo] '<query>'\n  \
-         provmin core [--threads N] [--planner KIND] [--batch|--tuple] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
+         provmin core [--threads N] [--planner KIND] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
          provmin trace '<query>'\n  \
          provmin datalog <db-file> <program-file> <predicate>\n  \
          provmin serve [--addr HOST:PORT] [--workers N] [--db FILE] [--max-conns N] [--keepalive-timeout SECS]\n  \
@@ -106,7 +103,7 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Extracts `--threads`/`--planner`/`--batch`/`--chunk-rows`/`--cache-stats` flags from
+/// Extracts `--threads`/`--planner`/`--chunk-rows`/`--cache-stats` flags from
 /// the argument list, returning the remaining positional arguments, the
 /// resulting options, whether cache stats were requested, and whether any
 /// flag was present (only `eval`/`core` accept them).
@@ -139,14 +136,6 @@ fn parse_eval_flags(args: &[String]) -> Result<(Vec<String>, EvalOptions, bool, 
                     other => return Err(format!("unknown planner {other}")),
                 };
                 options = options.with_planner(kind);
-            }
-            "--batch" => {
-                flags_used = true;
-                options = options.with_batch(true);
-            }
-            "--tuple" => {
-                flags_used = true;
-                options = options.with_batch(false);
             }
             "--chunk-rows" => {
                 flags_used = true;
@@ -252,7 +241,7 @@ fn main() -> ExitCode {
         }
     };
     if eval_flags_used && !matches!(args.first().map(String::as_str), Some("eval" | "core")) {
-        eprintln!("error: --threads/--planner/--batch/--cache-stats only apply to eval and core");
+        eprintln!("error: --threads/--planner/--cache-stats only apply to eval and core");
         return usage();
     }
     let (args, minimize_options, minimize_flags_used) = if subcommand_owns_flags {

@@ -4,10 +4,10 @@
 //! every axis the engine and minimizer expose; a divergence anywhere is
 //! a bug in exactly the guarantees the source paper proves:
 //!
-//! * **Evaluation** — `{batched, tuple} × {1, 4 threads} ×
+//! * **Evaluation** — the batched pipeline under `{1, 4 threads} ×
 //!   {cost-based, syntactic, written-order planners}`, plus two
-//!   degenerate-chunk batched configs (`--chunk-rows` overrides the
-//!   whole matrix), must be bit-identical to the naive reference
+//!   degenerate-chunk configs (`--chunk-rows` overrides the whole
+//!   matrix), must be bit-identical to the naive reference
 //!   (Def 2.6/2.12: every strategy enumerates the same assignments;
 //!   ⊕-merge order is immaterial — chunked accumulation is just another
 //!   regrouping of ⊕). Each configuration runs in its own
@@ -103,11 +103,11 @@ pub enum FuzzVerdict {
 }
 
 /// The differential evaluation configurations (the naive reference runs
-/// separately). The base matrix is `{batched, tuple} × {1, 4 threads} ×
-/// {cost, syntactic, written}` = 12 configs, all at the default chunk
-/// size; without an override, two degenerate-chunk configs (chunk 1
-/// sequential, chunk 7 parallel — the sizes that maximally exercise the
-/// re-chunking recursion) ride along for 14. A `chunk_override` of
+/// separately). The base matrix is `{1, 4 threads} × {cost, syntactic,
+/// written}` = 6 batched configs, all at the default chunk size; without
+/// an override, two degenerate-chunk configs (chunk 1 sequential, chunk 7
+/// parallel — the sizes that maximally exercise the re-chunking
+/// recursion) ride along for 8. A `chunk_override` of
 /// `Some(n)` instead forces chunk size `n` (0 = unchunked) onto every
 /// base config.
 fn eval_configs(chunk_override: Option<usize>) -> Vec<(String, EvalOptions)> {
@@ -119,34 +119,26 @@ fn eval_configs(chunk_override: Option<usize>) -> Vec<(String, EvalOptions)> {
         }
     };
     let mut configs = Vec::new();
-    for (mode_name, batch) in [("batched", true), ("tuple", false)] {
-        for threads in [1usize, 4] {
-            for (planner_name, planner) in [
-                ("cost", PlannerKind::CostBased),
-                ("syntactic", PlannerKind::Syntactic),
-                ("written", PlannerKind::WrittenOrder),
-            ] {
-                let mut options = EvalOptions::default()
-                    .with_batch(batch)
-                    .with_planner(planner)
-                    .with_parallelism(threads);
-                let mut name = format!("{mode_name}/{planner_name}/t{threads}");
-                if let Some(rows) = chunk_override {
-                    options = chunked(options, rows);
-                    name.push_str(&format!("/chunk{rows}"));
-                }
-                configs.push((name, options));
+    for threads in [1usize, 4] {
+        for (planner_name, planner) in [
+            ("cost", PlannerKind::CostBased),
+            ("syntactic", PlannerKind::Syntactic),
+            ("written", PlannerKind::WrittenOrder),
+        ] {
+            let mut options = EvalOptions::default()
+                .with_planner(planner)
+                .with_parallelism(threads);
+            let mut name = format!("batched/{planner_name}/t{threads}");
+            if let Some(rows) = chunk_override {
+                options = chunked(options, rows);
+                name.push_str(&format!("/chunk{rows}"));
             }
+            configs.push((name, options));
         }
     }
     if chunk_override.is_none() {
         for (threads, rows) in [(1usize, 1usize), (4, 7)] {
-            let options = chunked(
-                EvalOptions::default()
-                    .with_batch(true)
-                    .with_parallelism(threads),
-                rows,
-            );
+            let options = chunked(EvalOptions::default().with_parallelism(threads), rows);
             configs.push((format!("batched/cost/t{threads}/chunk{rows}"), options));
         }
     }
@@ -442,7 +434,7 @@ mod tests {
                     eval_configs,
                 } => {
                     assert_eq!(cases, 6);
-                    assert_eq!(eval_configs, 14);
+                    assert_eq!(eval_configs, 8);
                 }
                 FuzzVerdict::Diverged(d) => {
                     panic!("unexpected divergence: {} — {}", d.replay, d.detail)
@@ -451,25 +443,21 @@ mod tests {
         }
     }
 
-    /// Satellite of the chunked-eval PR: chunk size 1 (the maximally
-    /// re-chunked pipeline) must stay bit-identical to the tuple-at-a-time
-    /// path on a slice of every spec. Transitivity through the naive
-    /// reference already implies this inside `run`; this pins the direct
-    /// comparison so a future naive-path bug can't mask a chunking one.
+    /// Chunk size 1 (the maximally re-chunked pipeline) must stay
+    /// bit-identical to the naive reference on a slice of every spec,
+    /// evaluated through a session as the server does.
     #[test]
-    fn chunk_rows_one_matches_tuple_path_on_every_spec() {
+    fn chunk_rows_one_matches_naive_on_every_spec() {
         for spec in prov_workload::ScenarioSpec::names() {
             let sampler = Sampler::named(spec).expect("spec resolves");
             for case in 0..4 {
                 let scenario = sampler.scenario(11, case);
-                let chunked = EvalSession::with_options(
-                    EvalOptions::default().with_batch(true).with_chunk_rows(1),
-                );
-                let tuple = EvalSession::with_options(EvalOptions::default().with_batch(false));
+                let chunked = EvalSession::with_options(EvalOptions::default().with_chunk_rows(1));
+                let naive = EvalSession::with_options(EvalOptions::naive());
                 assert_eq!(
                     *chunked.eval_ucq(&scenario.query, &scenario.database),
-                    *tuple.eval_ucq(&scenario.query, &scenario.database),
-                    "chunk_rows=1 diverged from tuple path on {}",
+                    *naive.eval_ucq(&scenario.query, &scenario.database),
+                    "chunk_rows=1 diverged from the naive reference on {}",
                     scenario.replay(),
                 );
             }

@@ -134,19 +134,19 @@ fn usage_errors_are_2() {
 }
 
 #[test]
-fn eval_succeeds_and_batch_tuple_agree() {
+fn eval_succeeds_and_removed_tuple_flag_is_usage() {
     let db = TempDb::new("table2", TABLE_2);
     let query = "ans(x) :- R(x,y), R(y,x), x != y ; ans(x) :- R(x,x)";
-    let batched = provmin(&["eval", db.path(), query]);
-    assert_eq!(code(&batched), 0);
+    let output = provmin(&["eval", db.path(), query]);
+    assert_eq!(code(&output), 0);
+    assert!(stdout(&output).contains("(a)"));
+    // The tuple-at-a-time engine is gone; its flag is no longer accepted.
     let tuple = provmin(&["eval", "--tuple", db.path(), query]);
-    assert_eq!(code(&tuple), 0);
-    assert_eq!(
-        stdout(&batched),
-        stdout(&tuple),
-        "the default (batched) and --tuple paths must print identical results"
+    assert_eq!(code(&tuple), 2, "--tuple is a usage error");
+    assert!(
+        String::from_utf8_lossy(&tuple.stderr).contains("usage:"),
+        "prints usage"
     );
-    assert!(stdout(&batched).contains("(a)"));
 }
 
 // ------------------------------------------------------------- fuzz
