@@ -8,7 +8,9 @@
 #   3. a single-tuple /mutate is absorbed incrementally: the response
 #      reports cache=delta and the next eval delta-applies (the full-
 #      evaluation and view-build counters do not move)
-#   4. /minimize honors step budgets (sound partial + resume cursor)
+#   4. /minimize honors step budgets (sound partial + resume cursor);
+#      an /eval carrying a member it does not read ("planner") is a 400
+#      naming it, and the next /eval still answers 200
 #   5. 200 concurrent keep-alive connections x 10 pipelined evals each
 #      all get byte-identical answers (vs one-shot `provmin eval`), and
 #      /stats shows the connection reuse actually happened, that the
@@ -128,6 +130,14 @@ curl -sf -X POST -H 'Content-Type: application/json' \
     -d '{"query": "ans(x) :- R(x,y), R(x,z)"}' \
     "$BASE/minimize" -o "$WORKDIR/minimize_full.json"
 grep -q '"status":"complete"' "$WORKDIR/minimize_full.json" || fail "unbudgeted minimize must complete"
+STATUS=$(curl -s -o "$WORKDIR/unknown.json" -w '%{http_code}' -X POST \
+    -H 'Content-Type: application/json' \
+    -d "{\"query\": \"$QUERY\", \"planner\": \"cost\"}" "$BASE/eval")
+[ "$STATUS" = 400 ] || fail "an /eval carrying \"planner\" must be a 400, got $STATUS"
+grep -q 'planner' "$WORKDIR/unknown.json" || fail "the 400 must name the member: $(cat "$WORKDIR/unknown.json")"
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+    -d "{\"query\": \"$QUERY\"}" "$BASE/eval")
+[ "$STATUS" = 200 ] || fail "the /eval after a 400 must answer 200, got $STATUS"
 
 echo "== 5. keep-alive concurrency: 200 conns x 10 pipelined evals, byte-diffed"
 SOAK="$(dirname "$BIN")/keepalive_soak"

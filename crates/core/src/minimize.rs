@@ -13,7 +13,9 @@
 //! * **memoization** — candidates are deduped by canonical form
 //!   ([`prov_query::canonical::canonical_key`]) before any homomorphism
 //!   search runs, and containment verdicts are cached per key pair
-//!   ([`prov_query::memo::HomMemo`]);
+//!   ([`prov_query::memo::HomMemo`]); on exactly when the input's
+//!   candidate space is large enough to repay the keying
+//!   ([`MinimizeOptions::memo_for`]);
 //! * **dominance pruning** — a candidate subsumed by an already-accepted
 //!   disjunct is skipped (after a cheap relation-signature pre-check)
 //!   before the expensive check; accepted disjuncts subsumed by a new
@@ -109,42 +111,16 @@ impl Budget {
     }
 }
 
-/// Configuration of one [`Minimizer`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Configuration of one [`Minimizer`]: what to compute and how much work
+/// one call may spend. Memoization and dominance pruning are not options —
+/// they change how fast the engine reaches the one p-minimal output, never
+/// the output (Theorem 4.6), so the engine decides them itself.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MinimizeOptions {
     /// The minimization path to drive.
     pub strategy: Strategy,
     /// Work bound per `minimize`/`resume` call.
     pub budget: Budget,
-    /// Canonical-form memoization: dedupe candidates by key and cache
-    /// containment verdicts per key pair.
-    pub memo: bool,
-    /// Adaptive memoization policy: even when `memo` is on, skip
-    /// canonicalization for provably-tiny inputs, whose candidate space
-    /// ([`MinimizeOptions::candidate_estimate`], ≤
-    /// [`MinimizeOptions::TINY_CANDIDATE_THRESHOLD`] completions) can
-    /// never amortize the fixed per-candidate keying cost (~5–7 µs each —
-    /// the `minprov_blowup/qn/2` overhead documented in `docs/PERF.md`).
-    /// Large inputs are unaffected: the memo still kicks in exactly where
-    /// the Theorem 4.10 blowup makes it win.
-    pub auto_memo: bool,
-    /// Streaming dominance pruning: drop candidates subsumed by accepted
-    /// disjuncts as they arrive (and evict accepted disjuncts subsumed by
-    /// new candidates). When off, all candidates accumulate and one
-    /// offline prune runs at the end — the seed algorithm's shape.
-    pub dominance: bool,
-}
-
-impl Default for MinimizeOptions {
-    fn default() -> Self {
-        MinimizeOptions {
-            strategy: Strategy::default(),
-            budget: Budget::unbounded(),
-            memo: true,
-            auto_memo: true,
-            dominance: true,
-        }
-    }
 }
 
 impl MinimizeOptions {
@@ -162,28 +138,11 @@ impl MinimizeOptions {
         self
     }
 
-    /// Returns the options with memoization switched on/off.
-    pub fn with_memo(mut self, memo: bool) -> Self {
-        self.memo = memo;
-        self
-    }
-
-    /// Returns the options with dominance pruning switched on/off.
-    pub fn with_dominance(mut self, dominance: bool) -> Self {
-        self.dominance = dominance;
-        self
-    }
-
-    /// Returns the options with the adaptive tiny-input memo skip
-    /// switched on/off.
-    pub fn with_auto_memo(mut self, auto_memo: bool) -> Self {
-        self.auto_memo = auto_memo;
-        self
-    }
-
-    /// Candidate spaces at or below this size skip canonicalization under
-    /// `auto_memo`: ~2 disjuncts of Bell(4) = 15 completions each, the
-    /// regime where keying cost dominates any dedup win.
+    /// Candidate spaces at or below this size skip canonicalization:
+    /// ~2 disjuncts of Bell(4) = 15 completions each, the regime where the
+    /// fixed per-candidate keying cost (~5–7 µs each — the
+    /// `minprov_blowup/qn/2` overhead documented in `docs/PERF.md`) can
+    /// never be repaid by dedup wins.
     pub const TINY_CANDIDATE_THRESHOLD: u64 = 32;
 
     /// Upper bound on the `MinProv` candidate space: completions of an
@@ -201,19 +160,11 @@ impl MinimizeOptions {
             .fold(0u64, u64::saturating_add)
     }
 
-    /// The memoization setting in effect for `q`: `memo`, unless
-    /// `auto_memo` classifies the input as provably tiny.
-    pub fn memo_for(&self, q: &UnionQuery) -> bool {
-        self.memo
-            && !(self.auto_memo && Self::candidate_estimate(q) <= Self::TINY_CANDIDATE_THRESHOLD)
-    }
-
-    /// The seed implementation's shape: eager accumulation, offline prune,
-    /// no memoization. Kept callable for benchmarking the engine's wins.
-    pub fn unmemoized() -> Self {
-        MinimizeOptions::default()
-            .with_memo(false)
-            .with_dominance(false)
+    /// Whether the engine memoizes while minimizing `q`: exactly when its
+    /// candidate space exceeds [`MinimizeOptions::TINY_CANDIDATE_THRESHOLD`],
+    /// where the Theorem 4.10 blowup makes the memo win.
+    pub fn memo_for(q: &UnionQuery) -> bool {
+        Self::candidate_estimate(q) > Self::TINY_CANDIDATE_THRESHOLD
     }
 }
 
@@ -335,8 +286,8 @@ pub struct Minimizer {
     options: MinimizeOptions,
     memo: HomMemo,
     stats: MinimizeStats,
-    /// The memo setting in effect for the current call (the `auto_memo`
-    /// policy resolves per input query; see [`MinimizeOptions::memo_for`]).
+    /// Whether the current call memoizes (decided per input query; see
+    /// [`MinimizeOptions::memo_for`]).
     memo_enabled: bool,
 }
 
@@ -347,7 +298,7 @@ impl Minimizer {
             options,
             memo: HomMemo::new(),
             stats: MinimizeStats::default(),
-            memo_enabled: options.memo,
+            memo_enabled: false,
         }
     }
 
@@ -368,7 +319,7 @@ impl Minimizer {
 
     /// Minimizes `q` under the engine's strategy and budget.
     pub fn minimize(&mut self, q: &UnionQuery) -> Result<MinimizeOutcome, MinimizeError> {
-        self.memo_enabled = self.options.memo_for(q);
+        self.memo_enabled = MinimizeOptions::memo_for(q);
         match self.options.strategy {
             Strategy::MinProv => Ok(self.run_minprov(q, Cursor::default(), Vec::new())),
             Strategy::Auto => {
@@ -400,7 +351,7 @@ impl Minimizer {
         q: &UnionQuery,
         partial: PartialMinimization,
     ) -> Result<MinimizeOutcome, MinimizeError> {
-        self.memo_enabled = self.options.memo_for(q);
+        self.memo_enabled = MinimizeOptions::memo_for(q);
         Ok(self.run_minprov(q, partial.cursor, partial.accepted))
     }
 
@@ -488,41 +439,32 @@ impl Minimizer {
                     }
                 }
 
-                if self.options.dominance {
-                    // Step III, streaming: skip the candidate if subsumed
-                    // by an accepted disjunct ...
-                    if accepted
-                        .iter()
-                        .any(|a| self.contains(a, &cand, consts.len()))
-                    {
-                        self.stats.dominance_skips += 1;
-                        continue;
-                    }
-                    // ... and evict accepted disjuncts the candidate
-                    // subsumes (collect first, commit once: the eviction
-                    // plus the push happen atomically w.r.t. budget exits).
-                    let mut survivors = Vec::with_capacity(accepted.len() + 1);
-                    for a in accepted.drain(..) {
-                        if self.contains(&cand, &a, consts.len()) {
-                            self.stats.accepted_evictions += 1;
-                        } else {
-                            survivors.push(a);
-                        }
-                    }
-                    accepted = survivors;
+                // Step III, streaming: skip the candidate if subsumed by an
+                // accepted disjunct ...
+                if accepted
+                    .iter()
+                    .any(|a| self.contains(a, &cand, consts.len()))
+                {
+                    self.stats.dominance_skips += 1;
+                    continue;
                 }
+                // ... and evict accepted disjuncts the candidate subsumes
+                // (collect first, commit once: the eviction plus the push
+                // happen atomically w.r.t. budget exits).
+                let mut survivors = Vec::with_capacity(accepted.len() + 1);
+                for a in accepted.drain(..) {
+                    if self.contains(&cand, &a, consts.len()) {
+                        self.stats.accepted_evictions += 1;
+                    } else {
+                        survivors.push(a);
+                    }
+                }
+                accepted = survivors;
                 accepted.push(cand);
             }
         }
 
-        let mut accepted: Vec<ConjunctiveQuery> = accepted.into_iter().map(|d| d.query).collect();
-        if !self.options.dominance {
-            // Seed-shaped offline prune (step III in one quadratic pass).
-            accepted = prune_contained(accepted, |small, big| {
-                self.stats.hom_checks += 1;
-                prov_query::homomorphism::homomorphism_exists(big, small)
-            });
-        }
+        let accepted: Vec<ConjunctiveQuery> = accepted.into_iter().map(|d| d.query).collect();
         let output = UnionQuery::new(accepted).expect("minimization keeps at least one disjunct");
         MinimizeOutcome::Complete(output.dedup_isomorphic())
     }
@@ -630,6 +572,7 @@ pub fn minimize_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::minprov::minprov_trace;
     use prov_query::containment::equivalent;
     use prov_query::generate::qn_family;
     use prov_query::{parse_cq, parse_ucq};
@@ -649,45 +592,46 @@ mod tests {
         assert!(equivalent(&q, &out));
     }
 
+    /// Checks an engine output against the eager, unmemoized Algorithm 1
+    /// of [`minprov_trace`]: equivalent, and of equal length once the
+    /// trace's isomorphic duplicates are merged.
+    fn assert_matches_trace(q: &UnionQuery, out: &UnionQuery) {
+        let reference = minprov_trace(q).output.dedup_isomorphic();
+        assert!(equivalent(out, &reference), "{q}");
+        assert_eq!(out.len(), reference.len(), "{q}");
+    }
+
     #[test]
     fn memoized_and_unmemoized_agree() {
-        for text in [
+        // The paper queries are tiny (no memo); Q_3 is memoized. Both
+        // paths must reach the output of the unmemoized reference.
+        let mut queries: Vec<UnionQuery> = [
             "ans(x) :- R(x,y), R(y,x)",
             "ans() :- R(x,y), R(y,z), R(z,x)",
             "ans(x) :- R(x,y), S(y)",
             "ans(x) :- R(x), S('a')",
-        ] {
-            let q = parse_ucq(text).unwrap();
-            let memoized = minimize_with(&q, MinimizeOptions::default())
+        ]
+        .iter()
+        .map(|text| parse_ucq(text).unwrap())
+        .collect();
+        queries.push(UnionQuery::single(qn_family(3)));
+        for q in &queries {
+            let out = minimize_with(q, MinimizeOptions::default())
                 .unwrap()
                 .into_query();
-            let plain = minimize_with(&q, MinimizeOptions::unmemoized())
-                .unwrap()
-                .into_query();
-            assert!(equivalent(&memoized, &plain), "{text}");
-            assert_eq!(memoized.len(), plain.len(), "{text}");
+            assert_matches_trace(q, &out);
         }
     }
 
     #[test]
     fn memoization_skips_isomorphic_candidates() {
-        // qn_family(2) is "tiny" under the adaptive policy; force the memo
-        // on so this test keeps exercising it.
-        let q = UnionQuery::single(qn_family(2));
-        let mut engine = Minimizer::new(MinimizeOptions::default().with_auto_memo(false));
+        // qn_family(3) is above the tiny threshold, so the memo is on.
+        let q = UnionQuery::single(qn_family(3));
+        let mut engine = Minimizer::new(MinimizeOptions::default());
         let out = engine.minimize(&q).unwrap().into_query();
         assert!(engine.stats().memo_dedup_skips > 0, "{:?}", engine.stats());
-        assert!(equivalent(&q, &out));
-
-        let mut plain = Minimizer::new(MinimizeOptions::unmemoized());
-        let out2 = plain.minimize(&q).unwrap().into_query();
-        assert_eq!(out.len(), out2.len());
-        assert!(
-            engine.stats().hom_checks < plain.stats().hom_checks,
-            "memoized engine must spend fewer hom checks: {:?} vs {:?}",
-            engine.stats(),
-            plain.stats()
-        );
+        assert!(engine.memo_stats().key_misses > 0);
+        assert_matches_trace(&q, &out);
     }
 
     #[test]
@@ -801,8 +745,8 @@ mod tests {
 
     #[test]
     fn engine_amortizes_memo_across_queries() {
-        let mut engine = Minimizer::new(MinimizeOptions::default().with_auto_memo(false));
-        let q = UnionQuery::single(qn_family(2));
+        let mut engine = Minimizer::new(MinimizeOptions::default());
+        let q = UnionQuery::single(qn_family(3));
         engine.minimize(&q).unwrap();
         let misses_first = engine.memo_stats().hom_misses;
         engine.minimize(&q).unwrap();
@@ -830,32 +774,13 @@ mod tests {
             "tiny input must skip canonical keying entirely: {memo:?}"
         );
         assert_eq!(engine.stats().memo_dedup_skips, 0);
-        // Same output as the forced-memo run.
-        let forced = minimize_with(&tiny, MinimizeOptions::default().with_auto_memo(false))
-            .unwrap()
-            .into_query();
-        assert_eq!(out.len(), forced.len());
-        assert!(equivalent(&out, &forced));
+        assert!(!MinimizeOptions::memo_for(&tiny));
+        assert_matches_trace(&tiny, &out);
 
-        // Above the threshold the memo must still engage (qn_family(3) has
-        // 6 vars → Bell(6) = 203 candidates — the regime where it wins).
-        let large = UnionQuery::single(qn_family(3));
-        assert!(
-            MinimizeOptions::candidate_estimate(&large) > MinimizeOptions::TINY_CANDIDATE_THRESHOLD
-        );
-        let mut engine = Minimizer::new(MinimizeOptions::default());
-        engine.minimize(&large).unwrap();
-        assert!(
-            engine.memo_stats().key_misses > 0,
-            "large input must memoize"
-        );
-        assert!(engine.stats().memo_dedup_skips > 0);
-
-        // Disabling the policy restores unconditional memoization on tiny
-        // inputs; disabling memo wins over auto_memo either way.
-        let explicit = MinimizeOptions::default().with_auto_memo(false);
-        assert!(explicit.memo_for(&tiny));
-        assert!(!MinimizeOptions::unmemoized().memo_for(&large));
+        // Above the threshold the memo engages (qn_family(3) has 6 vars →
+        // Bell(6) = 203 candidates — the regime where it wins; see
+        // `memoization_skips_isomorphic_candidates`).
+        assert!(MinimizeOptions::memo_for(&UnionQuery::single(qn_family(3))));
     }
 
     #[test]

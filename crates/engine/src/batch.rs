@@ -51,6 +51,7 @@ use prov_storage::{ColumnarRelation, Database, RelName, Value};
 use crate::cache::{EvalViews, IndexCache};
 use crate::eval::{AnnotatedResult, EvalOptions};
 use crate::index::RelationIndex;
+use crate::planner;
 
 /// How many block chunks each worker thread gets on average;
 /// over-partitioning lets the stealing cursor balance skew.
@@ -481,9 +482,9 @@ pub(crate) fn eval_cq_batched_restricted(
             _ => return result,
         }
     }
-    // Delta passes must stay O(|Δ| · index probes), so two deviations
-    // from the cold path (both correctness-neutral — any atom permutation
-    // enumerates exactly the Def 2.6 assignments):
+    // Full evaluation plans cost-based. Delta passes must stay
+    // O(|Δ| · index probes), so two deviations (both correctness-neutral —
+    // any atom permutation enumerates exactly the Def 2.6 assignments):
     //
     // * plan with the *syntactic* planner: the cost-based one scans the
     //   database for per-column cardinalities, an O(|D|) pass that would
@@ -492,8 +493,8 @@ pub(crate) fn eval_cq_batched_restricted(
     //   row, so every later atom extends a one-assignment block through
     //   index probes instead of starting from a full-relation scan.
     let mut order = match restricts {
-        Some(_) => crate::planner::PlannerKind::Syntactic.order(q, db),
-        None => options.planner.order(q, db),
+        Some(_) => planner::syntactic_order(q),
+        None => planner::cost_based_order(q, db),
     };
     if let Some(restricts) = restricts {
         if let Some(pinned) = order
@@ -540,14 +541,16 @@ pub(crate) fn eval_cq_batched_restricted(
     // Parallel mode: shard the first-atom block into chunks, work-stolen
     // by scoped threads; ⊕-merge the private partial results. A shard
     // wider than `chunk_rows` is re-sliced inside `finish_chunk`, so the
-    // per-thread frontier bound holds regardless of shard geometry.
+    // per-thread frontier bound holds regardless of shard geometry. A
+    // worker beyond the chunk count would find nothing to steal, so none
+    // is spawned.
     let num_chunks = (threads * CHUNKS_PER_THREAD).min(block.len).max(1);
     let bounds: Vec<(usize, usize)> = (0..num_chunks)
         .map(|i| (i * block.len / num_chunks, (i + 1) * block.len / num_chunks))
         .collect();
     let cursor = AtomicUsize::new(0);
     let partials: Vec<AnnotatedResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..threads.min(num_chunks))
             .map(|_| {
                 scope.spawn(|| {
                     let mut local = AnnotatedResult::default();
@@ -621,8 +624,6 @@ mod tests {
             for options in [
                 EvalOptions::default(),
                 EvalOptions::default().with_parallelism(3),
-                EvalOptions::default().with_planner(crate::PlannerKind::Syntactic),
-                EvalOptions::default().with_planner(crate::PlannerKind::WrittenOrder),
             ] {
                 assert_eq!(
                     eval_cq_with(&q, &db, options),
@@ -760,5 +761,9 @@ mod tests {
         let sequential = eval_cq_with(&q, &db, EvalOptions::default());
         let parallel = eval_cq_with(&q, &db, EvalOptions::default().with_parallelism(16));
         assert_eq!(parallel, sequential);
+        // Far past MAX_THREADS: the pool is bounded by the chunk count and
+        // the cap, so this neither exhausts OS threads nor changes a bit.
+        let huge = eval_cq_with(&q, &db, EvalOptions::default().with_parallelism(100_000));
+        assert_eq!(huge, sequential);
     }
 }

@@ -10,10 +10,9 @@
 //! content, so the cached views are reused; a moved stamp forces a
 //! rebuild (never a stale read).
 //!
-//! Views are built lazily inside a shared [`EvalViews`]: the tuple-at-a-
-//! time path only ever pays for the posting-list index, the batched path
-//! additionally materializes columnar views, and the naive path builds
-//! nothing.
+//! Views are built lazily inside a shared [`EvalViews`]: the batched
+//! pipeline materializes the posting-list index and the columnar views on
+//! first use, and the naive oracle builds nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -2,8 +2,9 @@
 //! `P(t, Q, D) = Σ_{σ ∈ A(t,Q,D)} Π_{Ri ∈ body(Q)} P(σ(Ri))`.
 //!
 //! One production pipeline evaluates every query: the columnar batched
-//! executor of [`crate::batch`], whose knobs ([`EvalOptions`]: planner,
-//! parallelism, chunk size) form the B1 ablation axes. Beside it sits the
+//! executor of [`crate::batch`], which plans its own atom order and whose
+//! two knobs ([`EvalOptions`]: parallelism, chunk size) trade time for
+//! memory without changing the result. Beside it sits the
 //! naive reference [`EvalOptions::naive`] — a nested loop over atoms in
 //! written order with full scans, transcribing Def 2.6 / Def 2.12
 //! directly — which defines correct: every setting of the pipeline must
@@ -17,7 +18,6 @@ use prov_storage::{Database, Tuple, Valuation, Value};
 
 use crate::assignment::Assignment;
 use crate::cache::IndexCache;
-use crate::planner::PlannerKind;
 
 /// The annotated result of a query: each output tuple with its provenance
 /// polynomial. Boolean queries produce (at most) the empty tuple.
@@ -164,16 +164,20 @@ impl AnnotatedResult {
 /// peak frontier stays a bounded multiple of it.
 pub const DEFAULT_CHUNK_ROWS: usize = 64 * 1024;
 
-/// Evaluation strategy knobs of the batched pipeline (the B1 ablation
-/// axes). Every setting yields the same result; only the work and memory
-/// spent reaching it differ.
+/// Upper bound on [`EvalOptions::parallelism`]. Each worker is a scoped
+/// OS thread, so the CLI and the wire reject larger requests, and the
+/// engine never spawns more than this many workers for one evaluation.
+pub const MAX_THREADS: usize = 64;
+
+/// Evaluation knobs of the batched pipeline. Every setting yields the
+/// same result; only the work and memory spent reaching it differ. The
+/// pipeline chooses its atom order itself.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EvalOptions {
-    /// Which planner orders the query's atoms.
-    pub planner: PlannerKind,
     /// Number of worker threads: the first atom's block is sharded into
     /// chunks work-stolen by scoped threads. `None` or `Some(0|1)`
-    /// evaluates sequentially (the default).
+    /// evaluates sequentially (the default); values above
+    /// [`MAX_THREADS`] run with [`MAX_THREADS`] workers.
     pub parallelism: Option<usize>,
     /// Memory bound of the batched pipeline: a frontier block larger than
     /// this is driven through the remaining atom schedule in
@@ -193,7 +197,6 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            planner: PlannerKind::CostBased,
             parallelism: None,
             chunk_rows: Some(DEFAULT_CHUNK_ROWS),
             oracle: false,
@@ -208,28 +211,14 @@ impl EvalOptions {
     /// The pipeline knobs do not apply to it.
     pub fn naive() -> Self {
         EvalOptions {
-            planner: PlannerKind::WrittenOrder,
             parallelism: None,
             chunk_rows: None,
             oracle: true,
         }
     }
 
-    /// The pre-cost-planner default: syntactic most-bound-first ordering
-    /// (kept as an ablation point).
-    pub fn syntactic() -> Self {
-        EvalOptions {
-            planner: PlannerKind::Syntactic,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// This strategy with the given planner.
-    pub fn with_planner(self, planner: PlannerKind) -> Self {
-        EvalOptions { planner, ..self }
-    }
-
-    /// This strategy evaluated on `threads` worker threads.
+    /// This strategy evaluated on `threads` worker threads (at most
+    /// [`MAX_THREADS`]).
     pub fn with_parallelism(self, threads: usize) -> Self {
         EvalOptions {
             parallelism: Some(threads),
@@ -260,7 +249,7 @@ impl EvalOptions {
 
     /// The worker-thread count this strategy actually runs with.
     pub(crate) fn effective_threads(&self) -> usize {
-        self.parallelism.unwrap_or(1).max(1)
+        self.parallelism.unwrap_or(1).clamp(1, MAX_THREADS)
     }
 
     /// The chunk bound the batched pipeline actually applies
@@ -558,7 +547,6 @@ mod tests {
             let naive = eval_cq_with(&q, &db, EvalOptions::naive());
             for options in [
                 EvalOptions::default(),
-                EvalOptions::syntactic(),
                 EvalOptions::default().with_parallelism(2),
                 EvalOptions::default().with_parallelism(4),
             ] {
@@ -582,23 +570,6 @@ mod tests {
             let naive = eval_cq_with(&q, &db, EvalOptions::naive());
             let planned = eval_cq_with(&q, &db, EvalOptions::default());
             assert_eq!(naive, planned, "strategies disagree on {q} (seed {seed})");
-        }
-    }
-
-    #[test]
-    fn index_only_and_planner_only_also_agree() {
-        // Index only: written order through the indexed pipeline. Planner
-        // only: each planner's order, the indexes fixed.
-        let db = table_2_database();
-        let q = parse_cq("ans() :- R(x,y), R(y,z), R(z,x)").unwrap();
-        let reference = eval_cq_with(&q, &db, EvalOptions::naive());
-        for planner in [
-            PlannerKind::WrittenOrder,
-            PlannerKind::Syntactic,
-            PlannerKind::CostBased,
-        ] {
-            let options = EvalOptions::default().with_planner(planner);
-            assert_eq!(eval_cq_with(&q, &db, options), reference);
         }
     }
 }

@@ -20,10 +20,9 @@ pub use assignment::Assignment;
 pub use cache::{CacheStats, EvalViews, IndexCache};
 pub use eval::{
     assignments, eval_cq, eval_cq_with, eval_in_semiring, eval_ucq, eval_ucq_with, AnnotatedResult,
-    EvalOptions, DEFAULT_CHUNK_ROWS,
+    EvalOptions, DEFAULT_CHUNK_ROWS, MAX_THREADS,
 };
 pub use index::{DatabaseIndex, RelationIndex};
-pub use planner::PlannerKind;
 pub use session::{
     EvalSession, Materialized, MutationCachePath, MutationOutcome, RenderFormat, Rendered,
     SessionStats,

@@ -1,17 +1,19 @@
 //! Join planning: choosing the order in which a query's atoms are
 //! extended during assignment enumeration (Def 2.6).
 //!
-//! Three planners are provided, forming the B1 ablation axis:
+//! The engine picks the planner itself; no option selects it:
 //!
-//! * [`PlannerKind::WrittenOrder`] — atoms in written order (the naive
-//!   reference strategy).
-//! * [`PlannerKind::Syntactic`] — most-bound-first by syntax alone:
-//!   constants and already-bound variables count, database ignored.
-//! * [`PlannerKind::CostBased`] — greedy minimum estimated candidate
-//!   count, using per-relation cardinality and per-column distinct-value
-//!   statistics from the database instance.
+//! * [`cost_based_order`] — greedy minimum estimated candidate count,
+//!   using per-relation cardinality and per-column distinct-value
+//!   statistics from the database instance. Every full evaluation plans
+//!   with it.
+//! * [`syntactic_order`] — most-bound-first by syntax alone: constants
+//!   and already-bound variables count, database ignored. The restricted
+//!   delta passes of incremental maintenance plan with it, because the
+//!   cost planner's statistics pass is O(|D|) and a delta pass must stay
+//!   O(|Δ|).
 //!
-//! Atom order never changes *what* is enumerated — every planner yields
+//! Atom order never changes *what* is enumerated — every order yields
 //! exactly the assignments of Def 2.6 and therefore identical provenance —
 //! only how many partial assignments are touched along the way.
 
@@ -20,33 +22,9 @@ use std::collections::{BTreeSet, HashMap};
 use prov_query::{ConjunctiveQuery, Term, Variable};
 use prov_storage::{Database, RelName};
 
-/// Which join planner orders the query's atoms.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PlannerKind {
-    /// Written order (no planning) — the naive reference.
-    WrittenOrder,
-    /// Most-bound-first heuristic on query syntax only.
-    Syntactic,
-    /// Greedy cost-based ordering from relation/column cardinalities.
-    #[default]
-    CostBased,
-}
-
-impl PlannerKind {
-    /// The atom visit order for `q` over `db` under this planner, as a
-    /// permutation of `0..q.atoms().len()`.
-    pub fn order(self, q: &ConjunctiveQuery, db: &Database) -> Vec<usize> {
-        match self {
-            PlannerKind::WrittenOrder => (0..q.atoms().len()).collect(),
-            PlannerKind::Syntactic => syntactic_order(q),
-            PlannerKind::CostBased => cost_based_order(q, db),
-        }
-    }
-}
-
 /// Orders atoms most-bound-first: atoms with constants and already-bound
 /// variables come earlier, shrinking the candidate sets.
-fn syntactic_order(q: &ConjunctiveQuery) -> Vec<usize> {
+pub(crate) fn syntactic_order(q: &ConjunctiveQuery) -> Vec<usize> {
     let n = q.atoms().len();
     let mut bound: BTreeSet<Variable> = BTreeSet::new();
     let mut order = Vec::with_capacity(n);
@@ -132,7 +110,7 @@ fn estimate(atom: &prov_query::Atom, stats: Option<&RelStats>, bound: &BTreeSet<
 /// the smallest estimated candidate count under the current bound set,
 /// breaking ties toward fewer newly-introduced variables, then written
 /// order (for determinism).
-fn cost_based_order(q: &ConjunctiveQuery, db: &Database) -> Vec<usize> {
+pub(crate) fn cost_based_order(q: &ConjunctiveQuery, db: &Database) -> Vec<usize> {
     let n = q.atoms().len();
     if n <= 1 {
         // Nothing to order — skip the cardinality scan entirely.
@@ -188,22 +166,13 @@ mod tests {
     fn every_planner_returns_a_permutation() {
         let db = skewed_db();
         let q = parse_cq("ans(x) :- R(x,y), S(x), R(y,z)").unwrap();
-        for kind in [
-            PlannerKind::WrittenOrder,
-            PlannerKind::Syntactic,
-            PlannerKind::CostBased,
+        for (name, mut order) in [
+            ("syntactic", syntactic_order(&q)),
+            ("cost", cost_based_order(&q, &db)),
         ] {
-            let mut order = kind.order(&q, &db);
             order.sort_unstable();
-            assert_eq!(order, vec![0, 1, 2], "{kind:?} is not a permutation");
+            assert_eq!(order, vec![0, 1, 2], "{name} is not a permutation");
         }
-    }
-
-    #[test]
-    fn written_order_is_identity() {
-        let db = skewed_db();
-        let q = parse_cq("ans(x) :- R(x,y), S(x)").unwrap();
-        assert_eq!(PlannerKind::WrittenOrder.order(&q, &db), vec![0, 1]);
     }
 
     #[test]
@@ -212,7 +181,7 @@ mod tests {
         // S has 1 row vs R's 50: the cost-based planner leads with S even
         // though written order and arity give no syntactic reason to.
         let q = parse_cq("ans(x) :- R(x,y), S(x)").unwrap();
-        assert_eq!(PlannerKind::CostBased.order(&q, &db)[0], 1);
+        assert_eq!(cost_based_order(&q, &db)[0], 1);
     }
 
     #[test]
@@ -223,7 +192,7 @@ mod tests {
         // per-column stats.
         let db = skewed_db();
         let q = parse_cq("ans() :- R(x,y), R(x,y,'c')").unwrap();
-        let order = PlannerKind::CostBased.order(&q, &db);
+        let order = cost_based_order(&q, &db);
         assert_eq!(order.len(), 2);
         // And evaluation under the default (cost-based) options is empty,
         // matching the naive reference.
@@ -236,7 +205,7 @@ mod tests {
     fn single_atom_queries_skip_stats() {
         let db = skewed_db();
         let q = parse_cq("ans(x) :- R(x,y)").unwrap();
-        assert_eq!(PlannerKind::CostBased.order(&q, &db), vec![0]);
+        assert_eq!(cost_based_order(&q, &db), vec![0]);
     }
 
     #[test]
@@ -244,7 +213,7 @@ mod tests {
         let db = skewed_db();
         let q = parse_cq("ans(x) :- R(x,y), Missing(y)").unwrap();
         // A missing relation empties the result; probing it first is free.
-        assert_eq!(PlannerKind::CostBased.order(&q, &db)[0], 1);
+        assert_eq!(cost_based_order(&q, &db)[0], 1);
     }
 
     #[test]
@@ -252,7 +221,7 @@ mod tests {
         let db = skewed_db();
         // After S(x) binds x, R(x,y) is cheaper than R(y,z) (no bound pos).
         let q = parse_cq("ans(x) :- R(y,z), R(x,y), S(x)").unwrap();
-        let order = PlannerKind::CostBased.order(&q, &db);
+        let order = cost_based_order(&q, &db);
         assert_eq!(order[0], 2);
         assert_eq!(order[1], 1);
     }

@@ -1,5 +1,5 @@
 //! Property: every setting of the engine's batched pipeline — sequential
-//! or block-sharded parallel, chunked or not, under every planner — is
+//! or block-sharded parallel, chunked or not — is
 //! *identical* (same tuples, same provenance polynomials, same
 //! coefficients) to sequential naive evaluation, on random CQ≠ queries
 //! and random databases. This is the ⊕-merge correctness argument of
@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use prov_engine::{eval_cq_with, eval_ucq_with, EvalOptions, EvalSession, PlannerKind};
+use prov_engine::{eval_cq_with, eval_ucq_with, EvalOptions, EvalSession};
 use prov_query::generate::{random_cq, QuerySpec};
 use prov_storage::generator::{random_database, DatabaseSpec};
 use prov_storage::{RelName, DELTA_LOG_CAPACITY};
@@ -34,32 +34,26 @@ proptest! {
         let q = random_cq(&spec, query_seed);
         let db = random_database(&DatabaseSpec::single_binary(24, 5), db_seed);
         let reference = eval_cq_with(&q, &db, EvalOptions::naive());
-        for planner in [PlannerKind::Syntactic, PlannerKind::CostBased] {
-            for threads in [1usize, 4] {
-                // 1 and 7 force the re-chunking recursion constantly;
-                // 64Ki is the default; None is the unbounded legacy
-                // behaviour.
-                for chunk in [Some(1), Some(7), Some(64 * 1024), None] {
-                    let mut options = EvalOptions::default()
-                        .with_planner(planner)
-                        .with_parallelism(threads);
-                    options = match chunk {
-                        Some(rows) => options.with_chunk_rows(rows),
-                        None => options.unchunked(),
-                    };
-                    let result = eval_cq_with(&q, &db, options);
-                    prop_assert_eq!(
-                        &result,
-                        &reference,
-                        "{:?} × {} threads × chunk {:?} diverges on {} (query seed {}, db seed {})",
-                        planner,
-                        threads,
-                        chunk,
-                        q,
-                        query_seed,
-                        db_seed
-                    );
-                }
+        for threads in [1usize, 4] {
+            // 1 and 7 force the re-chunking recursion constantly; 64Ki is
+            // the default; None is the unbounded legacy behaviour.
+            for chunk in [Some(1), Some(7), Some(64 * 1024), None] {
+                let options = EvalOptions::default().with_parallelism(threads);
+                let options = match chunk {
+                    Some(rows) => options.with_chunk_rows(rows),
+                    None => options.unchunked(),
+                };
+                let result = eval_cq_with(&q, &db, options);
+                prop_assert_eq!(
+                    &result,
+                    &reference,
+                    "{} threads × chunk {:?} diverges on {} (query seed {}, db seed {})",
+                    threads,
+                    chunk,
+                    q,
+                    query_seed,
+                    db_seed
+                );
             }
         }
     }
@@ -105,22 +99,17 @@ proptest! {
         let sampler = Sampler::named(name).expect(name);
         let scenario = sampler.scenario(seed, case);
         let reference = eval_ucq_with(&scenario.query, &scenario.database, EvalOptions::naive());
-        for planner in [PlannerKind::WrittenOrder, PlannerKind::Syntactic, PlannerKind::CostBased] {
-            for threads in [1usize, 4] {
-                let options = EvalOptions::default()
-                    .with_planner(planner)
-                    .with_parallelism(threads);
-                let result = eval_ucq_with(&scenario.query, &scenario.database, options);
-                prop_assert_eq!(
-                    &result,
-                    &reference,
-                    "{:?} × {} threads diverges on {} ({})",
-                    planner,
-                    threads,
-                    &scenario.query,
-                    scenario.replay()
-                );
-            }
+        for threads in [1usize, 4] {
+            let options = EvalOptions::default().with_parallelism(threads);
+            let result = eval_ucq_with(&scenario.query, &scenario.database, options);
+            prop_assert_eq!(
+                &result,
+                &reference,
+                "{} threads diverges on {} ({})",
+                threads,
+                &scenario.query,
+                scenario.replay()
+            );
         }
     }
 

@@ -10,7 +10,7 @@ use prov_core::minprov::{minprov_cq, minprov_trace};
 use prov_core::order::compare_on;
 use prov_core::pminimal::table_1;
 use prov_core::standard::minimize_cq;
-use prov_engine::{eval_cq, eval_ucq, eval_ucq_with, EvalOptions, PlannerKind};
+use prov_engine::{eval_cq, eval_ucq, eval_ucq_with, EvalOptions};
 use prov_query::canonical::{bell_number, canonical_rewriting};
 use prov_query::containment::{cq_equivalent, equivalent};
 use prov_query::generate::qn_family;
@@ -502,8 +502,8 @@ pub fn x2_algebra_extension() -> ExperimentReport {
     r
 }
 
-/// X3 — engine scaling extension: sharded parallel evaluation and the
-/// cost-based planner reproduce Def 2.12's provenance *exactly*. The merge
+/// X3 — engine scaling extension: sharded parallel evaluation reproduces
+/// Def 2.12's provenance *exactly*. The merge
 /// of per-thread partial results is the semiring ⊕, which is commutative
 /// and associative, so shard completion order cannot change the output.
 pub fn x3_parallel_eval() -> ExperimentReport {
@@ -513,16 +513,12 @@ pub fn x3_parallel_eval() -> ExperimentReport {
     let qunion = fig1_qunion();
     let reference = eval_ucq(&qunion, &db);
     for threads in [2usize, 4] {
-        for planner in [PlannerKind::Syntactic, PlannerKind::CostBased] {
-            let options = EvalOptions::default()
-                .with_planner(planner)
-                .with_parallelism(threads);
-            let parallel = eval_ucq_with(&qunion, &db, options);
-            r.check(
-                parallel == reference,
-                &format!("Qunion on Table 2: {threads} threads × {planner:?} = sequential"),
-            );
-        }
+        let options = EvalOptions::default().with_parallelism(threads);
+        let parallel = eval_ucq_with(&qunion, &db, options);
+        r.check(
+            parallel == reference,
+            &format!("Qunion on Table 2: {threads} threads = sequential"),
+        );
     }
     // A larger synthetic instance, where sharding actually spreads work.
     let big = random_database(&DatabaseSpec::single_binary(300, 20), 17);
@@ -541,8 +537,8 @@ pub fn x3_parallel_eval() -> ExperimentReport {
 }
 
 /// X4 — Theorem 4.10 managed: on the exponential blowup family, the
-/// unified minimization engine's memoization measurably cuts the
-/// containment work of the seed path, and a step-budgeted run terminates
+/// unified minimization engine's memoization measurably cuts containment
+/// work (read off one run's counters), and a step-budgeted run terminates
 /// within its budget with a *sound* (equivalent) partial result that
 /// resumes to the full p-minimal output.
 pub fn x4_budgeted_minimization() -> ExperimentReport {
@@ -550,33 +546,29 @@ pub fn x4_budgeted_minimization() -> ExperimentReport {
     let mut r = ExperimentReport::new("X4", "Extension: budget-bounded minimization (Thm 4.10)");
     let q = UnionQuery::single(qn_family(3));
 
-    // Unbounded, memoized (the production default) vs unmemoized (the
-    // seed algorithm's shape): same output, far fewer containment checks.
-    let mut memoized = Minimizer::new(MinimizeOptions::default());
-    let out = memoized
-        .minimize(&q)
-        .expect("minprov is total")
-        .into_query();
-    let mut plain = Minimizer::new(MinimizeOptions::unmemoized());
-    let out_plain = plain.minimize(&q).expect("minprov is total").into_query();
+    // Unbounded (Q_3 is above the tiny-input threshold, so the engine
+    // memoizes): the memo's effect is visible in this one run's counters.
+    let mut engine = Minimizer::new(MinimizeOptions::default());
+    let out = engine.minimize(&q).expect("minprov is total").into_query();
+    let (stats, memo) = (engine.stats(), engine.memo_stats());
     r.line(format!(
         "Q_3: {} candidate completions → {} p-minimal adjuncts",
-        memoized.stats().steps,
+        stats.steps,
         out.len()
     ));
     r.line(format!(
-        "hom checks: memoized {} (memo dedup skipped {} candidates) vs unmemoized {}",
-        memoized.stats().hom_checks,
-        memoized.stats().memo_dedup_skips,
-        plain.stats().hom_checks
+        "memo: {} isomorphic candidates skipped with no hom search; \
+         {} hom verdicts served from the memo, {} searched",
+        stats.memo_dedup_skips, memo.hom_hits, memo.hom_misses
     ));
+    let reference = minprov_trace(&q).output.dedup_isomorphic();
     r.check(
-        out.len() == out_plain.len() && equivalent(&out, &out_plain),
-        "memoized and unmemoized engines agree on the p-minimal output",
+        out.len() == reference.len() && equivalent(&out, &reference),
+        "memoized engine agrees with the eager Algorithm 1 trace",
     );
     r.check(
-        memoized.stats().hom_checks * 3 < plain.stats().hom_checks * 2,
-        "memoization cuts containment checks by more than a third on Q_3",
+        stats.memo_dedup_skips * 2 > stats.steps,
+        "memoization skips more than half of Q_3's candidates outright",
     );
     r.check(equivalent(&out, &q), "Thm 4.6: output is equivalent to Q_3");
 

@@ -7,53 +7,25 @@
 use std::time::Duration;
 
 use prov_core::minimize::{MinimizeOptions, Strategy};
-use prov_engine::{EvalOptions, PlannerKind};
+use prov_engine::{EvalOptions, MAX_THREADS};
 
 use crate::json::Json;
 
-/// Cap on the wire-supplied `threads` field. The engine spawns that many
-/// scoped OS threads per evaluation, so an unbounded client value would
-/// be a one-request denial of service; anything past the machine's core
-/// count is overhead anyway.
-pub const MAX_THREADS: u64 = 64;
-
-/// Reads `/eval` strategy fields from the request body:
-/// `mode` (only `"batched"`, the one pipeline — accepted as a no-op),
-/// `threads` (1 ..=
-/// [`MAX_THREADS`]), `planner` (`"written"`, `"syntactic"`, `"cost"`),
-/// `chunk_rows` (frontier chunk size for the batched pipeline; 0
-/// disables chunking). Unknown fields are ignored so clients can
-/// round-trip stats blobs.
+/// Reads `/eval` fields from the request body: `threads` (1 ..=
+/// [`MAX_THREADS`]; each worker is an OS thread, so an unbounded value
+/// would be a one-request denial of service) and `chunk_rows` (frontier
+/// chunk size for the batched pipeline; 0 disables chunking).
 pub fn eval_options(body: &Json) -> Result<EvalOptions, String> {
     let mut options = EvalOptions::default();
-    if let Some(mode) = body.get("mode") {
-        let mode = mode.as_str().ok_or("\"mode\" must be a string")?;
-        if mode != "batched" {
-            return Err(format!("unknown mode {mode:?} (batched)"));
-        }
-    }
     if let Some(threads) = body.get("threads") {
         let n = threads
             .as_u64()
             .filter(|&n| n >= 1)
             .ok_or("\"threads\" must be a positive integer")?;
-        if n > MAX_THREADS {
+        if n > MAX_THREADS as u64 {
             return Err(format!("\"threads\" must be at most {MAX_THREADS}"));
         }
         options = options.with_parallelism(n as usize);
-    }
-    if let Some(planner) = body.get("planner") {
-        let kind = match planner.as_str().ok_or("\"planner\" must be a string")? {
-            "written" => PlannerKind::WrittenOrder,
-            "syntactic" => PlannerKind::Syntactic,
-            "cost" => PlannerKind::CostBased,
-            other => {
-                return Err(format!(
-                    "unknown planner {other:?} (written|syntactic|cost)"
-                ))
-            }
-        };
-        options = options.with_planner(kind);
     }
     if let Some(rows) = body.get("chunk_rows") {
         let n = rows.as_u64().ok_or("\"chunk_rows\" must be an integer")?;
@@ -68,7 +40,7 @@ pub fn eval_options(body: &Json) -> Result<EvalOptions, String> {
 
 /// Reads `/minimize` engine fields from the request body: `strategy`
 /// (`"minprov"` default, `"auto"`, `"standard"`, `"dedup"`),
-/// `budget_steps`, `budget_ms`, `memo` (bool).
+/// `budget_steps`, `budget_ms`.
 pub fn minimize_options(body: &Json) -> Result<MinimizeOptions, String> {
     let mut options = MinimizeOptions::default();
     if let Some(strategy) = body.get("strategy") {
@@ -96,9 +68,6 @@ pub fn minimize_options(body: &Json) -> Result<MinimizeOptions, String> {
             ms.as_u64().ok_or("\"budget_ms\" must be an integer")?,
         ));
     }
-    if let Some(memo) = body.get("memo") {
-        options.memo = memo.as_bool().ok_or("\"memo\" must be a boolean")?;
-    }
     Ok(options)
 }
 
@@ -114,21 +83,11 @@ mod tests {
     fn eval_defaults_and_overrides() {
         let defaults = eval_options(&obj("{}")).expect("defaults");
         assert_eq!(defaults, EvalOptions::default());
-        let opts = eval_options(&obj(
-            r#"{"mode":"batched","threads":4,"planner":"syntactic"}"#,
-        ))
-        .expect("parses");
-        assert_eq!(
-            opts,
-            EvalOptions::default()
-                .with_parallelism(4)
-                .with_planner(PlannerKind::Syntactic)
-        );
-        let removed = eval_options(&obj(r#"{"mode":"tuple"}"#)).expect_err("tuple is gone");
-        assert!(removed.contains("mode"), "{removed}");
-        assert!(eval_options(&obj(r#"{"mode":"vectorized"}"#)).is_err());
+        let opts = eval_options(&obj(r#"{"threads":4}"#)).expect("parses");
+        assert_eq!(opts, EvalOptions::default().with_parallelism(4));
         assert!(eval_options(&obj(r#"{"threads":0}"#)).is_err());
-        assert!(eval_options(&obj(r#"{"planner":"best"}"#)).is_err());
+        assert!(eval_options(&obj(r#"{"threads":64}"#)).is_ok());
+        assert!(eval_options(&obj(r#"{"threads":65}"#)).is_err());
     }
 
     #[test]
@@ -143,13 +102,12 @@ mod tests {
     #[test]
     fn minimize_budgets_translate() {
         let opts = minimize_options(&obj(
-            r#"{"strategy":"auto","budget_steps":64,"budget_ms":250,"memo":false}"#,
+            r#"{"strategy":"auto","budget_steps":64,"budget_ms":250}"#,
         ))
         .expect("parses");
         assert_eq!(opts.strategy, Strategy::Auto);
         assert_eq!(opts.budget.max_steps, Some(64));
         assert_eq!(opts.budget.max_duration, Some(Duration::from_millis(250)));
-        assert!(!opts.memo);
         assert!(minimize_options(&obj(r#"{"strategy":"fast"}"#)).is_err());
         assert!(minimize_options(&obj(r#"{"budget_steps":"lots"}"#)).is_err());
     }

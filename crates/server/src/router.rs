@@ -4,10 +4,13 @@
 //! |---|---|---|
 //! | `POST /load` | database text (or `{"db": text}`) | replace the loaded database |
 //! | `POST /mutate` | `{"insert": [lines], "remove": [lines]}` | apply tuple-level mutations |
-//! | `POST /eval` | `{"query", "mode"?, "threads"?, "planner"?, "chunk_rows"?}` | annotated evaluation |
-//! | `POST /minimize` | `{"query", "strategy"?, "budget_steps"?, "budget_ms"?, "memo"?}` | (budgeted) minimization |
+//! | `POST /eval` | `{"query", "threads"?, "chunk_rows"?}` | annotated evaluation |
+//! | `POST /minimize` | `{"query", "strategy"?, "budget_steps"?, "budget_ms"?}` | (budgeted) minimization |
 //! | `GET /stats` | — | cache/generation/latency counters |
 //! | `POST /shutdown` | — | request graceful shutdown |
+//!
+//! A JSON body holding any member outside its endpoint's column is a 400
+//! `unknown field "<name>"`, and nothing is applied.
 //!
 //! `/eval` renders each output tuple exactly as the one-shot
 //! `provmin eval` CLI does (`(a)  [s2·s3 + s1]`), so serving results are
@@ -59,15 +62,29 @@ pub fn route(state: &ServerState, request: &Request) -> (Endpoint, Response) {
     }
 }
 
+/// The JSON members each endpoint reads; any other member is rejected.
+const LOAD_MEMBERS: &[&str] = &["db"];
+const MUTATE_MEMBERS: &[&str] = &["insert", "remove"];
+const EVAL_MEMBERS: &[&str] = &["query", "threads", "chunk_rows"];
+const MINIMIZE_MEMBERS: &[&str] = &["query", "strategy", "budget_steps", "budget_ms"];
+
 /// The request body as a parsed JSON object (`{}` for an empty body).
-fn json_body(request: &Request) -> Result<Json, Response> {
+/// A member outside `members` is a 400 naming it: a removed option or a
+/// typo (`"remvoe"`) fails loudly instead of being silently ignored.
+fn json_body(request: &Request, members: &[&str]) -> Result<Json, Response> {
     if request.body.is_empty() {
         return Ok(Json::Obj(Vec::new()));
     }
     let text = request
         .body_utf8()
         .ok_or_else(|| Response::error(400, "body is not valid utf-8"))?;
-    Json::parse(text).map_err(|e| Response::error(400, e.to_string()))
+    let body = Json::parse(text).map_err(|e| Response::error(400, e.to_string()))?;
+    if let Json::Obj(fields) = &body {
+        if let Some((name, _)) = fields.iter().find(|(k, _)| !members.contains(&k.as_str())) {
+            return Err(Response::error(400, format!("unknown field {name:?}")));
+        }
+    }
+    Ok(body)
 }
 
 /// Parses the CLI's query syntax (`;` joins union rules).
@@ -102,7 +119,7 @@ fn handle_load(state: &ServerState, request: &Request) -> Response {
         .is_some_and(|t| t.contains("json"));
     let capacity = state.delta_capacity();
     let parsed: Result<Database, Response> = if is_json {
-        match json_body(request) {
+        match json_body(request, LOAD_MEMBERS) {
             Ok(body) => match body.get("db").and_then(Json::as_str) {
                 Some(text) => build_database(text, capacity).map_err(|e| Response::error(400, e)),
                 None => Err(Response::error(400, "missing string field \"db\"")),
@@ -145,7 +162,7 @@ fn handle_load(state: &ServerState, request: &Request) -> Response {
 }
 
 fn handle_mutate(state: &ServerState, request: &Request) -> Response {
-    let body = match json_body(request) {
+    let body = match json_body(request, MUTATE_MEMBERS) {
         Ok(body) => body,
         Err(resp) => return resp,
     };
@@ -296,7 +313,7 @@ fn handle_mutate(state: &ServerState, request: &Request) -> Response {
 }
 
 fn handle_eval(state: &ServerState, request: &Request) -> Response {
-    let body = match json_body(request) {
+    let body = match json_body(request, EVAL_MEMBERS) {
         Ok(body) => body,
         Err(resp) => return resp,
     };
@@ -544,7 +561,7 @@ fn durability_json(state: &ServerState) -> Json {
 }
 
 fn handle_minimize(state: &ServerState, request: &Request) -> Response {
-    let body = match json_body(request) {
+    let body = match json_body(request, MINIMIZE_MEMBERS) {
         Ok(body) => body,
         Err(resp) => return resp,
     };

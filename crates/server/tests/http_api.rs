@@ -231,14 +231,63 @@ fn removed_tuple_mode_is_a_400_naming_mode() {
     .expect("round trip");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("mode"), "the error names the field: {body}");
-    // The one remaining pipeline is still accepted by name.
-    let (status, _) = client::post_json(
+    // There is one pipeline and no member selecting it, so naming it is
+    // an unknown member too.
+    let (status, body) = client::post_json(
         &addr,
         "/eval",
         r#"{"query": "ans(x) :- R(x,x)", "mode": "batched"}"#,
     )
     .expect("round trip");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("mode"), "the error names the field: {body}");
+    handle.shutdown();
+}
+
+#[test]
+fn members_an_endpoint_does_not_read_are_a_400_that_applies_nothing() {
+    let (handle, addr) = start(TABLE_2);
+    let query = r#""query": "ans(x) :- R(x,x)""#;
+    let (_, before) =
+        client::post_json(&addr, "/eval", &format!("{{{query}}}")).expect("round trip");
+    for (path, body, member) in [
+        (
+            "/eval",
+            format!(r#"{{{query}, "planner": "cost"}}"#),
+            "planner",
+        ),
+        (
+            "/minimize",
+            format!(r#"{{{query}, "memo": false}}"#),
+            "memo",
+        ),
+        (
+            "/mutate",
+            r#"{"insert": ["R(c, c) : s9"], "remvoe": ["R(a, a)"]}"#.to_owned(),
+            "remvoe",
+        ),
+        (
+            "/load",
+            r#"{"db": "R(z, z) : z1", "merge": true}"#.to_owned(),
+            "merge",
+        ),
+    ] {
+        let (status, response) = client::post_json(&addr, path, &body).expect("round trip");
+        assert_eq!(status, 400, "{path} {body}: {response}");
+        assert!(
+            response.contains(&format!(r#"unknown field \"{member}\""#)),
+            "{path}: the error names the member: {response}"
+        );
+    }
+    // Nothing above was applied: same generation, same rows.
+    let (status, after) =
+        client::post_json(&addr, "/eval", &format!("{{{query}}}")).expect("round trip");
     assert_eq!(status, 200);
+    assert_eq!(
+        json(&after).get("generation"),
+        json(&before).get("generation")
+    );
+    assert_eq!(json(&after).get("results"), json(&before).get("results"));
     handle.shutdown();
 }
 

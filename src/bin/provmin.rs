@@ -16,9 +16,8 @@
 //! `eval` and `core` accept evaluation-strategy flags anywhere on the
 //! command line:
 //!
-//! * `--threads N` — parallel evaluation on `N` worker threads (results
-//!   are identical to sequential; ⊕ is commutative).
-//! * `--planner written|syntactic|cost` — join planner (default `cost`).
+//! * `--threads N` — parallel evaluation on `N` worker threads, at most
+//!   64 (results are identical to sequential; ⊕ is commutative).
 //! * `--chunk-rows N` — frontier chunk size of the batched pipeline
 //!   (default 65536, `0` = unchunked): bounds peak evaluation memory at
 //!   O(chunk × one step's fan-out) with bit-identical results (see the
@@ -37,7 +36,6 @@
 //! * `--budget-steps N` / `--budget-ms N` — step / wall-clock budget.
 //!   A budget-exhausted run prints the best sound partial result plus its
 //!   resume cursor and exits with code 3 (distinct from errors).
-//! * `--no-memo` — disable canonical-form memoization (diagnostics).
 //!
 //! `serve` starts the long-running HTTP/1.1 service over the shared
 //! generation-keyed index cache (see `docs/SERVER.md`):
@@ -64,8 +62,8 @@
 //! a torn tail), and — unless `--check` — compacts the directory into a
 //! fresh snapshot with an empty WAL.
 //!
-//! `fuzz` differentially checks DSL-generated scenarios (every eval
-//! mode × planner × thread count bit-identical, semiring specialization
+//! `fuzz` differentially checks DSL-generated scenarios (every thread
+//! count and chunk size bit-identical, semiring specialization
 //! consistent, every eligible minimize strategy equivalent with sound
 //! budgeted partials). Exit codes: 0 = all cases agree, 1 = divergence
 //! (the reproducing `(spec, seed, case)` triple is printed), 2 = flag
@@ -81,7 +79,7 @@ use std::sync::atomic::{AtomicI32, Ordering};
 
 use provmin::core::minimize::{minimize_with, MinimizeOptions, MinimizeOutcome, Strategy};
 use provmin::datalog::{core_query, evaluate, Program};
-use provmin::engine::{EvalOptions, EvalSession, PlannerKind};
+use provmin::engine::{EvalOptions, EvalSession, MAX_THREADS};
 use provmin::prelude::*;
 use provmin::storage::textio::parse_database;
 
@@ -90,9 +88,9 @@ const EXIT_BUDGET_EXHAUSTED: u8 = 3;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  provmin eval [--threads N] [--planner written|syntactic|cost] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
-         provmin minimize [--strategy minprov|auto|standard|dedup] [--budget-steps N] [--budget-ms N] [--no-memo] '<query>'\n  \
-         provmin core [--threads N] [--planner KIND] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
+        "usage:\n  provmin eval [--threads N] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
+         provmin minimize [--strategy minprov|auto|standard|dedup] [--budget-steps N] [--budget-ms N] '<query>'\n  \
+         provmin core [--threads N] [--chunk-rows N] [--cache-stats] <db-file> '<query>'\n  \
          provmin trace '<query>'\n  \
          provmin datalog <db-file> <program-file> <predicate>\n  \
          provmin serve [--addr HOST:PORT] [--workers N] [--db FILE] [--max-conns N] [--keepalive-timeout SECS]\n  \
@@ -103,7 +101,7 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Extracts `--threads`/`--planner`/`--chunk-rows`/`--cache-stats` flags from
+/// Extracts `--threads`/`--chunk-rows`/`--cache-stats` flags from
 /// the argument list, returning the remaining positional arguments, the
 /// resulting options, whether cache stats were requested, and whether any
 /// flag was present (only `eval`/`core` accept them).
@@ -125,17 +123,10 @@ fn parse_eval_flags(args: &[String]) -> Result<(Vec<String>, EvalOptions, bool, 
                 if n == 0 {
                     return Err("--threads must be a positive integer".to_owned());
                 }
+                if n > MAX_THREADS {
+                    return Err(format!("--threads must be at most {MAX_THREADS}"));
+                }
                 options = options.with_parallelism(n);
-            }
-            "--planner" => {
-                flags_used = true;
-                let kind = match it.next().ok_or("--planner needs a value")?.as_str() {
-                    "written" => PlannerKind::WrittenOrder,
-                    "syntactic" => PlannerKind::Syntactic,
-                    "cost" => PlannerKind::CostBased,
-                    other => return Err(format!("unknown planner {other}")),
-                };
-                options = options.with_planner(kind);
             }
             "--chunk-rows" => {
                 flags_used = true;
@@ -199,10 +190,6 @@ fn parse_minimize_flags(args: &[String]) -> Result<(Vec<String>, MinimizeOptions
                     .map_err(|_| "--budget-ms must be an integer".to_owned())?;
                 options.budget.max_duration = Some(std::time::Duration::from_millis(ms));
             }
-            "--no-memo" => {
-                flags_used = true;
-                options.memo = false;
-            }
             _ => positional.push(arg.clone()),
         }
     }
@@ -241,7 +228,7 @@ fn main() -> ExitCode {
         }
     };
     if eval_flags_used && !matches!(args.first().map(String::as_str), Some("eval" | "core")) {
-        eprintln!("error: --threads/--planner/--cache-stats only apply to eval and core");
+        eprintln!("error: --threads/--chunk-rows/--cache-stats only apply to eval and core");
         return usage();
     }
     let (args, minimize_options, minimize_flags_used) = if subcommand_owns_flags {
@@ -256,7 +243,7 @@ fn main() -> ExitCode {
         }
     };
     if minimize_flags_used && args.first().map(String::as_str) != Some("minimize") {
-        eprintln!("error: --strategy/--budget-*/--no-memo only apply to minimize");
+        eprintln!("error: --strategy/--budget-* only apply to minimize");
         return usage();
     }
     let result = match args.as_slice() {

@@ -4,13 +4,12 @@
 //! every axis the engine and minimizer expose; a divergence anywhere is
 //! a bug in exactly the guarantees the source paper proves:
 //!
-//! * **Evaluation** — the batched pipeline under `{1, 4 threads} ×
-//!   {cost-based, syntactic, written-order planners}`, plus two
+//! * **Evaluation** — the batched pipeline on 1 and 4 threads, plus two
 //!   degenerate-chunk configs (`--chunk-rows` overrides the whole
 //!   matrix), must be bit-identical to the naive reference
-//!   (Def 2.6/2.12: every strategy enumerates the same assignments;
-//!   ⊕-merge order is immaterial — chunked accumulation is just another
-//!   regrouping of ⊕). Each configuration runs in its own
+//!   (Def 2.6/2.12: the planned order enumerates the same assignments as
+//!   written order; ⊕-merge order is immaterial — chunked accumulation
+//!   is just another regrouping of ⊕). Each configuration runs in its own
 //!   [`EvalSession`] (a shared session would serve later configs the
 //!   first one's materialized result and check nothing).
 //! * **Incremental maintenance** — for scenarios carrying a mutation
@@ -34,7 +33,7 @@
 use std::collections::BTreeMap;
 
 use prov_core::minimize::{minimize_with, Budget, MinimizeOptions, MinimizeOutcome, Strategy};
-use prov_engine::{eval_in_semiring, eval_ucq_with, EvalOptions, EvalSession, PlannerKind};
+use prov_engine::{eval_in_semiring, eval_ucq_with, EvalOptions, EvalSession};
 use prov_query::containment::equivalent;
 use prov_query::ConjunctiveQuery;
 use prov_semiring::order::poly_leq;
@@ -103,11 +102,10 @@ pub enum FuzzVerdict {
 }
 
 /// The differential evaluation configurations (the naive reference runs
-/// separately). The base matrix is `{1, 4 threads} × {cost, syntactic,
-/// written}` = 6 batched configs, all at the default chunk size; without
-/// an override, two degenerate-chunk configs (chunk 1 sequential, chunk 7
-/// parallel — the sizes that maximally exercise the re-chunking
-/// recursion) ride along for 8. A `chunk_override` of
+/// separately). The base matrix is 1 and 4 threads at the default chunk
+/// size; without an override, two degenerate-chunk configs (chunk 1
+/// sequential, chunk 7 parallel — the sizes that maximally exercise the
+/// re-chunking recursion) ride along for 4. A `chunk_override` of
 /// `Some(n)` instead forces chunk size `n` (0 = unchunked) onto every
 /// base config.
 fn eval_configs(chunk_override: Option<usize>) -> Vec<(String, EvalOptions)> {
@@ -120,26 +118,18 @@ fn eval_configs(chunk_override: Option<usize>) -> Vec<(String, EvalOptions)> {
     };
     let mut configs = Vec::new();
     for threads in [1usize, 4] {
-        for (planner_name, planner) in [
-            ("cost", PlannerKind::CostBased),
-            ("syntactic", PlannerKind::Syntactic),
-            ("written", PlannerKind::WrittenOrder),
-        ] {
-            let mut options = EvalOptions::default()
-                .with_planner(planner)
-                .with_parallelism(threads);
-            let mut name = format!("batched/{planner_name}/t{threads}");
-            if let Some(rows) = chunk_override {
-                options = chunked(options, rows);
-                name.push_str(&format!("/chunk{rows}"));
-            }
-            configs.push((name, options));
+        let mut options = EvalOptions::default().with_parallelism(threads);
+        let mut name = format!("batched/t{threads}");
+        if let Some(rows) = chunk_override {
+            options = chunked(options, rows);
+            name.push_str(&format!("/chunk{rows}"));
         }
+        configs.push((name, options));
     }
     if chunk_override.is_none() {
         for (threads, rows) in [(1usize, 1usize), (4, 7)] {
             let options = chunked(EvalOptions::default().with_parallelism(threads), rows);
-            configs.push((format!("batched/cost/t{threads}/chunk{rows}"), options));
+            configs.push((format!("batched/t{threads}/chunk{rows}"), options));
         }
     }
     configs
@@ -434,7 +424,7 @@ mod tests {
                     eval_configs,
                 } => {
                     assert_eq!(cases, 6);
-                    assert_eq!(eval_configs, 8);
+                    assert_eq!(eval_configs, 4);
                 }
                 FuzzVerdict::Diverged(d) => {
                     panic!("unexpected divergence: {} — {}", d.replay, d.detail)

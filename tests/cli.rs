@@ -140,12 +140,25 @@ fn eval_succeeds_and_removed_tuple_flag_is_usage() {
     let output = provmin(&["eval", db.path(), query]);
     assert_eq!(code(&output), 0);
     assert!(stdout(&output).contains("(a)"));
-    // The tuple-at-a-time engine is gone; its flag is no longer accepted.
-    let tuple = provmin(&["eval", "--tuple", db.path(), query]);
-    assert_eq!(code(&tuple), 2, "--tuple is a usage error");
-    assert!(
-        String::from_utf8_lossy(&tuple.stderr).contains("usage:"),
-        "prints usage"
+    // One pipeline, planned and memoized by the engine itself: no flag
+    // selects a path, a planner or the memo. Threads are capped at 64
+    // because each is an OS thread.
+    for args in [
+        vec!["eval", "--tuple", db.path(), query],
+        vec!["eval", "--planner", "cost", db.path(), query],
+        vec!["minimize", "--no-memo", query],
+        vec!["eval", "--threads", "100000", db.path(), query],
+    ] {
+        let output = provmin(&args);
+        assert_eq!(code(&output), 2, "{args:?} is a usage error");
+        assert!(
+            String::from_utf8_lossy(&output.stderr).contains("usage:"),
+            "{args:?} prints usage"
+        );
+    }
+    assert_eq!(
+        code(&provmin(&["eval", "--threads", "64", db.path(), query])),
+        0
     );
 }
 
