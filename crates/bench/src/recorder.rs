@@ -136,6 +136,38 @@ pub fn run_suite(budget_ms: u128) -> Vec<Measurement> {
     record("eval_strategy/cost_planned/200", &mut || {
         std::hint::black_box(eval_cq_with(&selective, &db200, batched));
     });
+    // A cold miss against warm views: one session over R and S (10,000
+    // tuples each), cycling 64 distinct selective joins — twice the
+    // session's result store, so every evaluation is a full rebuild that
+    // plans and runs the batched pipeline over views built once. Planning
+    // reads the index's distinct counts; a per-evaluation statistics scan
+    // of the relations would dominate this row.
+    let db_cold = prov_storage::generator::random_database(
+        &prov_storage::generator::DatabaseSpec {
+            relations: vec![("R".to_owned(), 2, 10_000), ("S".to_owned(), 2, 10_000)],
+            domain_size: 2_000,
+            value_prefix: "d".to_owned(),
+        },
+        1,
+    );
+    let cold_queries: Vec<_> = (0..64)
+        .map(|k| parse_cq(&format!("ans(y,z) :- R('d{k}',y), S(y,z)")).expect("parses"))
+        .collect();
+    let cold_session = EvalSession::with_options(batched);
+    for q in &cold_queries {
+        cold_session.eval_cq(q, &db_cold);
+    }
+    let mut cold_evals = 0;
+    record("eval_throughput/cold_miss/20000", &mut || {
+        let q = &cold_queries[cold_evals % cold_queries.len()];
+        std::hint::black_box(cold_session.eval_cq(q, &db_cold));
+        cold_evals += 1;
+    });
+    assert_eq!(
+        cold_session.stats().full_rebuilds,
+        (cold_queries.len() + cold_evals) as u64,
+        "every cold_miss evaluation is a full rebuild"
+    );
 
     // Serve loop: full HTTP round trips against an in-process
     // `prov-server` with the db200 workload resident — the serving
@@ -691,6 +723,7 @@ mod tests {
             "eval_throughput/qconj/800/batched",
             "eval_throughput/qconj/800/session-hit",
             "eval_throughput/triangle/50/batched",
+            "eval_throughput/cold_miss/20000",
         ] {
             assert!(ms.iter().any(|m| m.id == id), "{id} not covered");
         }

@@ -482,32 +482,20 @@ pub(crate) fn eval_cq_batched_restricted(
             _ => return result,
         }
     }
-    // Full evaluation plans cost-based. Delta passes must stay
-    // O(|Δ| · index probes), so two deviations (both correctness-neutral —
-    // any atom permutation enumerates exactly the Def 2.6 assignments):
-    //
-    // * plan with the *syntactic* planner: the cost-based one scans the
-    //   database for per-column cardinalities, an O(|D|) pass that would
-    //   dominate a single-tuple delta;
-    // * drive the join from the pinned atom: its candidate set is one
-    //   row, so every later atom extends a one-assignment block through
-    //   index probes instead of starting from a full-relation scan.
-    let mut order = match restricts {
-        Some(_) => planner::syntactic_order(q),
-        None => planner::cost_based_order(q, db),
-    };
-    if let Some(restricts) = restricts {
-        if let Some(pinned) = order
-            .iter()
-            .position(|&ai| matches!(restricts[ai], RowRestrict::Exactly(_)))
-        {
-            let ai = order.remove(pinned);
-            order.insert(0, ai);
-        }
-    }
-    let (plans, head) = build_plans(q, &order, restricts);
+    // Planning reads the index's distinct counts, so fetch (or build) the
+    // views first. A delta pass pins the atom restricted to the inserted
+    // row: its candidate set is one row, so every later atom extends a
+    // one-assignment block through index probes instead of starting from
+    // a full-relation scan. Correctness-neutral either way — any atom
+    // permutation enumerates exactly the Def 2.6 assignments.
     let columnar = views.columnar(db);
     let index = views.database_index(db);
+    let pinned = restricts.and_then(|r| {
+        r.iter()
+            .position(|restrict| matches!(restrict, RowRestrict::Exactly(_)))
+    });
+    let order = planner::cost_based_order(q, db, index, pinned);
+    let (plans, head) = build_plans(q, &order, restricts);
     let rels: Vec<&ColumnarRelation> = plans
         .iter()
         .map(|p| columnar.relation(p.rel).expect("relation validated above"))

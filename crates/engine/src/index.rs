@@ -17,26 +17,24 @@ use std::collections::HashMap;
 use prov_storage::{Database, RelName, Relation, Value};
 
 /// An index over one relation: `posting[(position, value)]` lists the row
-/// indices whose tuple has `value` at `position`.
+/// indices whose tuple has `value` at `position`, and `distinct[position]`
+/// counts the posting lists at `position` — the relation's distinct values
+/// there, the per-column statistic the join planner reads.
 #[derive(Clone, Debug, Default)]
 pub struct RelationIndex {
     len: usize,
     posting: HashMap<(usize, Value), Vec<u32>>,
+    distinct: Vec<usize>,
 }
 
 impl RelationIndex {
     /// Builds the index for `relation`.
     pub fn build(relation: &Relation) -> Self {
-        let mut posting: HashMap<(usize, Value), Vec<u32>> = HashMap::new();
-        for (row, (tuple, _)) in relation.iter().enumerate() {
-            for (pos, &value) in tuple.values().iter().enumerate() {
-                posting.entry((pos, value)).or_default().push(row as u32);
-            }
+        let mut index = RelationIndex::default();
+        for (tuple, _) in relation.iter() {
+            index.push_row(tuple.values());
         }
-        RelationIndex {
-            len: relation.len(),
-            posting,
-        }
+        index
     }
 
     /// Number of rows in the indexed relation.
@@ -47,6 +45,12 @@ impl RelationIndex {
     /// Whether the indexed relation was empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Number of distinct values at `position` among the indexed rows: 0
+    /// for an empty relation or a position beyond the stored arity. O(1).
+    pub fn distinct(&self, position: usize) -> usize {
+        self.distinct.get(position).copied().unwrap_or(0)
     }
 
     /// Rows whose tuple has `value` at `position` (empty slice if none).
@@ -69,8 +73,15 @@ impl RelationIndex {
     /// [`Relation::insert`] — inserts append in row order.
     pub fn push_row(&mut self, values: &[Value]) {
         let row = self.len as u32;
+        if self.distinct.len() < values.len() {
+            self.distinct.resize(values.len(), 0);
+        }
         for (pos, &value) in values.iter().enumerate() {
-            self.posting.entry((pos, value)).or_default().push(row);
+            let posting = self.posting.entry((pos, value)).or_default();
+            if posting.is_empty() {
+                self.distinct[pos] += 1;
+            }
+            posting.push(row);
         }
         self.len += 1;
     }
@@ -88,7 +99,13 @@ impl RelationIndex {
                 }
             }
         }
-        self.posting.retain(|_, posting| !posting.is_empty());
+        let distinct = &mut self.distinct;
+        self.posting.retain(|&(pos, _), posting| {
+            if posting.is_empty() {
+                distinct[pos] -= 1;
+            }
+            !posting.is_empty()
+        });
         self.len -= 1;
     }
 }
@@ -189,6 +206,10 @@ mod tests {
         // Remove the middle row (row id 1 = ("a","c")): later ids shift.
         db.remove(RelName::new("R"), &Tuple::of(&["a", "c"]));
         idx.remove_row(RelName::new("R"), 1);
+        // Remove row 0 = ("a","b"), the last row carrying "a" at 0 and
+        // "b" at 1: both posting lists empty out.
+        db.remove(RelName::new("R"), &Tuple::of(&["a", "b"]));
+        idx.remove_row(RelName::new("R"), 0);
         db.add("S", &["q"], "ix5");
         idx.push_row(RelName::new("S"), &[Value::new("q")]);
 
@@ -207,7 +228,86 @@ mod tests {
                     );
                 }
             }
+            for pos in 0..=relation.arity() {
+                assert_eq!(
+                    patched.distinct(pos),
+                    fresh.distinct(pos),
+                    "distinct({pos}) diverges for {}",
+                    relation.name()
+                );
+            }
         }
+        // R keeps ("b","c") and ("c","d"): column 0 holds {b, c}, column 1
+        // {c, d}, and there is no column 2.
+        let r = idx.relation(RelName::new("R")).unwrap();
+        assert_eq!((r.distinct(0), r.distinct(1), r.distinct(2)), (2, 2, 0));
+    }
+
+    /// Distinct values at `position` over `rows`, by brute force.
+    fn scanned_distinct(rows: &[Vec<Value>], position: usize) -> usize {
+        rows.iter()
+            .filter_map(|row| row.get(position))
+            .collect::<std::collections::HashSet<_>>()
+            .len()
+    }
+
+    #[test]
+    fn distinct_counts_track_random_pushes_and_removes() {
+        // A seeded xorshift drives an even mix of pushes and removes over a
+        // small value domain, so values often lose their last carrying row
+        // (emptying a posting list), relations empty out, and both come
+        // back. Relation "D" exists only through
+        // patches; "R" starts from a build.
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let db = sample();
+        let mut idx = DatabaseIndex::build(&db);
+        let mut live: HashMap<RelName, Vec<Vec<Value>>> = HashMap::new();
+        live.insert(
+            RelName::new("R"),
+            db.relation(RelName::new("R"))
+                .unwrap()
+                .iter()
+                .map(|(t, _)| t.values().to_vec())
+                .collect(),
+        );
+        let (mut emptied, mut removed_last_carrier) = (0, 0);
+        for step in 0..2_000 {
+            let rel = RelName::new(["R", "D"][next(2)]);
+            let rows = live.entry(rel).or_default();
+            if rows.is_empty() || next(2) == 0 {
+                let row: Vec<Value> = (0..2)
+                    .map(|_| Value::new(&format!("v{}", next(4))))
+                    .collect();
+                idx.push_row(rel, &row);
+                rows.push(row);
+            } else {
+                let at = next(rows.len());
+                let gone = rows.remove(at);
+                if (0..2).any(|p| !rows.iter().any(|r| r[p] == gone[p])) {
+                    removed_last_carrier += 1;
+                }
+                idx.remove_row(rel, at);
+                if rows.is_empty() {
+                    emptied += 1;
+                }
+            }
+            let index = idx.relation(rel).unwrap();
+            assert_eq!(index.len(), rows.len(), "step {step}");
+            for pos in 0..3 {
+                assert_eq!(
+                    index.distinct(pos),
+                    scanned_distinct(rows, pos),
+                    "distinct({pos}) of {rel} after step {step}"
+                );
+            }
+        }
+        assert!(removed_last_carrier > 0 && emptied > 0);
     }
 
     #[test]
